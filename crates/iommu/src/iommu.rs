@@ -577,6 +577,9 @@ impl Iommu {
     /// even for the same IOVAs — are untouched, as on real hardware where
     /// the invalidation descriptor names a single domain.
     pub fn invalidate_range_in(&mut self, d: u16, range: IovaRange, scope: InvalidationScope) {
+        if self.caches_empty() {
+            return;
+        }
         for iova in range.iter_pages() {
             if self.iotlb.remove(dk(d, iova.pfn())).is_some() {
                 self.stats.iotlb_invalidations += 1;
@@ -601,6 +604,18 @@ impl Iommu {
         }
     }
 
+    /// Whether the IOTLB, the huge IOTLB and all three PTcaches are empty.
+    /// Invalidations count only entries they actually remove, so against
+    /// empty caches they change nothing — the case for every unmap made
+    /// while a run is built, before any device has translated.
+    fn caches_empty(&self) -> bool {
+        self.iotlb.is_empty()
+            && self.iotlb_huge.is_empty()
+            && self.ptc_l1.is_empty()
+            && self.ptc_l2.is_empty()
+            && self.ptc_l3.is_empty()
+    }
+
     /// Domain-0 wrapper for [`Iommu::invalidate_ptcache_leaf_in`].
     pub fn invalidate_ptcache_leaf(&mut self, range: IovaRange) {
         self.invalidate_ptcache_leaf_in(0, range);
@@ -612,6 +627,9 @@ impl Iommu {
     /// intermediate pages). Exposed separately so the datapath can model
     /// wipes retiring concurrently with ongoing walks.
     pub fn invalidate_ptcache_leaf_in(&mut self, d: u16, range: IovaRange) {
+        if self.caches_empty() {
+            return;
+        }
         let lo = range.base();
         let hi = range.page(range.pages() - 1);
         for key in lo.l4_page_key()..=hi.l4_page_key() {
@@ -653,6 +671,9 @@ impl Iommu {
     /// `range` — the collateral damage the paper attributes to Tx-path
     /// invalidations.
     pub fn invalidate_ptcache_upper_in(&mut self, d: u16, range: IovaRange) {
+        if self.caches_empty() {
+            return;
+        }
         let lo = range.base();
         let hi = range.page(range.pages() - 1);
         for key in lo.l3_page_key()..=hi.l3_page_key() {

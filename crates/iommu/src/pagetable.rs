@@ -28,6 +28,9 @@ pub const L3_SPAN_PFNS: u64 = 512 * 512;
 /// IOVA pfns covered by one PT-L2 page (512 GB).
 pub const L2_SPAN_PFNS: u64 = 512 * 512 * 512;
 
+/// Slots in the region-indexed PT-L4 walk cache (a power of two).
+const L4_CACHE_SLOTS: usize = 256;
+
 /// Generational reference to a page-table page, as cached by the hardware
 /// page-structure caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,19 +221,14 @@ pub struct IoPageTable {
     /// `alloc_page` so the map/unmap churn of chunk-granular modes stops
     /// hitting the allocator for every 4 KB page-table page.
     entries_pool: Vec<Vec<Option<PtEntry>>>,
-    /// One-entry walk cache for `map`: the PT-L4 page the last map landed
-    /// in, keyed by 2 MB region (`pfn / L4_SPAN_PFNS`). Drivers map
-    /// descriptors as contiguous page runs, so nearly every map hits the
-    /// same leaf page as its predecessor and skips the root walk. A
-    /// generational `ref_state` check makes a hit exactly equivalent to a
-    /// fresh walk: a live ref is still attached at the same tree position,
-    /// because pages detach only when reclaimed (which bumps the
-    /// generation). Derived state — reset and snapshots drop it.
-    map_cache: Option<(u64, PageRef)>,
-    /// Same cache for `clear_leaf` (unmap runs), kept separate from
-    /// `map_cache` because churn interleaves unmaps of one descriptor with
-    /// maps of another in a different region.
-    unmap_cache: Option<(u64, PageRef)>,
+    /// Direct-mapped walk cache for `map` and `clear_leaf`: the PT-L4 page
+    /// of a 2 MB region (`pfn / L4_SPAN_PFNS`), in slot
+    /// `region % L4_CACHE_SLOTS`. A hit skips the root walk. A generational
+    /// `ref_state` check makes a hit exactly equivalent to a fresh walk: a
+    /// live ref is still attached at the same tree position, because pages
+    /// detach only when reclaimed (which bumps the generation). Derived
+    /// state — reset and snapshots drop it.
+    l4_cache: Box<[Option<(u64, PageRef)>; L4_CACHE_SLOTS]>,
     root: PageRef,
     stats: PtStats,
 }
@@ -248,8 +246,7 @@ impl IoPageTable {
             slots: Vec::new(),
             free: Vec::new(),
             entries_pool: Vec::new(),
-            map_cache: None,
-            unmap_cache: None,
+            l4_cache: Box::new([None; L4_CACHE_SLOTS]),
             root: PageRef {
                 idx: 0,
                 generation: 0,
@@ -273,8 +270,7 @@ impl IoPageTable {
         }
         self.slots.clear();
         self.free.clear();
-        self.map_cache = None;
-        self.unmap_cache = None;
+        self.l4_cache.fill(None);
         self.stats = PtStats::default();
         self.root = PageRef {
             idx: 0,
@@ -426,8 +422,7 @@ impl IoPageTable {
             slots,
             free,
             entries_pool: Vec::new(),
-            map_cache: None,
-            unmap_cache: None,
+            l4_cache: Box::new([None; L4_CACHE_SLOTS]),
             root: PageRef {
                 idx: r.u32()?,
                 generation: r.u32()?,
@@ -463,13 +458,23 @@ impl IoPageTable {
         slot.page.as_mut().expect("stale page ref dereferenced")
     }
 
+    /// The cached PT-L4 page of `region`, if its slot holds a live one.
+    fn cached_l4(&self, region: u64) -> Option<PageRef> {
+        match self.l4_cache[region as usize % L4_CACHE_SLOTS] {
+            Some((key, l4)) if key == region && self.ref_state(l4) == RefState::Live => Some(l4),
+            _ => None,
+        }
+    }
+
+    fn cache_l4(&mut self, region: u64, l4: PageRef) {
+        self.l4_cache[region as usize % L4_CACHE_SLOTS] = Some((region, l4));
+    }
+
     /// Maps `iova -> pa`, allocating intermediate pages as needed.
     pub fn map(&mut self, iova: Iova, pa: PhysAddr) -> Result<(), PtError> {
         let region = iova.pfn() / L4_SPAN_PFNS;
-        if let Some((key, l4)) = self.map_cache {
-            if key == region && self.ref_state(l4) == RefState::Live {
-                return self.map_in_leaf(l4, iova, pa);
-            }
+        if let Some(l4) = self.cached_l4(region) {
+            return self.map_in_leaf(l4, iova, pa);
         }
         let mut cur = self.root;
         for level in 1..=3u8 {
@@ -490,7 +495,7 @@ impl IoPageTable {
             };
             cur = next;
         }
-        self.map_cache = Some((region, cur));
+        self.cache_l4(region, cur);
         self.map_in_leaf(cur, iova, pa)
     }
 
@@ -672,21 +677,25 @@ impl IoPageTable {
             self.clear_leaf(iova)?;
             out.unmapped += 1;
         }
-        // Reclaim fully covered pages, bottom-up (L4, then L3, then L2).
-        self.reclaim_level(range, 4, L4_SPAN_PFNS, &mut out);
-        self.reclaim_level(range, 3, L3_SPAN_PFNS, &mut out);
-        self.reclaim_level(range, 2, L2_SPAN_PFNS, &mut out);
+        // Reclaim fully covered pages, bottom-up (L4, then L3, then L2). A
+        // range shorter than a level's span cannot cover one of its pages.
+        for (level, span) in [(4, L4_SPAN_PFNS), (3, L3_SPAN_PFNS), (2, L2_SPAN_PFNS)] {
+            if range.pages() < span {
+                break;
+            }
+            self.reclaim_level(range, level, span, &mut out);
+        }
         self.stats.unmaps += out.unmapped;
         Ok(out)
     }
 
     fn clear_leaf(&mut self, iova: Iova) -> Result<(), PtError> {
         let region = iova.pfn() / L4_SPAN_PFNS;
-        let l4 = match self.unmap_cache {
-            Some((key, l4)) if key == region && self.ref_state(l4) == RefState::Live => l4,
-            _ => {
+        let l4 = match self.cached_l4(region) {
+            Some(l4) => l4,
+            None => {
                 let path = self.walk_path(iova).ok_or(PtError::NotMapped(iova.pfn()))?;
-                self.unmap_cache = Some((region, path.l4));
+                self.cache_l4(region, path.l4);
                 path.l4
             }
         };
@@ -975,6 +984,66 @@ mod tests {
         let l3s = out.reclaimed.iter().filter(|r| r.level == 3).count();
         assert_eq!(l4s, 512);
         assert_eq!(l3s, 1);
+        pt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn l4_cache_serves_interleaved_regions_and_misses_after_reclaim() {
+        // 300 regions, one page each per round, visited round-robin: a
+        // one-entry cache would miss on every map. Regions 0..44 and
+        // 256..300 share slots, so the later of each pair owns it.
+        let mut pt = IoPageTable::new();
+        let base = L3_SPAN_PFNS * 5;
+        let page = |r: u64, i: u64| iova(base + r * L4_SPAN_PFNS + i);
+        for i in 0..4 {
+            for r in 0..300 {
+                pt.map(page(r, i), pa(r * 4 + i + 1)).unwrap();
+            }
+        }
+        let region = |r: u64| base / L4_SPAN_PFNS + r;
+        for r in 0..300 {
+            let expect_hit = !(0..44).contains(&r);
+            assert_eq!(pt.cached_l4(region(r)).is_some(), expect_hit, "region {r}");
+        }
+        // Every page-table walk after the first round of a cached region
+        // was skipped, and every mapping still resolves.
+        assert_eq!(pt.stats().pages_allocated, 3 + 300);
+        for i in 0..4 {
+            for r in 0..300 {
+                assert_eq!(pt.lookup(page(r, i)), Some(pa(r * 4 + i + 1)));
+            }
+        }
+
+        // Empty region 100 with 1-page unmaps (which never reclaim) through
+        // the cache, then collapse its PT-L4 page: the cached ref goes stale.
+        for i in 0..4 {
+            pt.unmap_range(IovaRange::new(page(100, i), 1)).unwrap();
+        }
+        let stale = pt.cached_l4(region(100)).expect("region 100 cached");
+        let reclaimed = pt.collapse_empty_l4(page(100, 0)).unwrap();
+        assert_eq!(reclaimed.region_key, region(100));
+        assert_eq!(pt.ref_state(stale), RefState::Stale);
+        assert_eq!(
+            pt.cached_l4(region(100)),
+            None,
+            "stale generation must miss"
+        );
+
+        // A new region reuses the freed arena slot under a new generation;
+        // remapping region 100 must walk afresh, not write through the old
+        // ref into the new region's page.
+        let far = 400;
+        pt.map(page(far, 0), pa(9000)).unwrap();
+        assert_eq!(
+            pt.walk_path(page(far, 0)).unwrap().l4.parts().0,
+            stale.parts().0
+        );
+        pt.map(page(100, 0), pa(9100)).unwrap();
+        assert_eq!(pt.lookup(page(far, 0)), Some(pa(9000)));
+        assert_eq!(pt.lookup(page(100, 0)), Some(pa(9100)));
+        assert_eq!(pt.lookup(page(far, 1)), None);
+        assert_eq!(pt.lookup(page(100, 1)), None);
+        assert!(pt.cached_l4(region(100)).is_some());
         pt.check_invariants().unwrap();
     }
 

@@ -5,12 +5,14 @@
 //!
 //! These encode the safety-critical allocator invariants from DESIGN.md §6:
 //! live ranges never overlap, frees always succeed for live ranges, and the
-//! red-black tree structure invariants hold after arbitrary op sequences.
+//! range-set invariants (ordered, `lo <= hi`, disjoint) hold after
+//! arbitrary op sequences.
 
 use proptest::prelude::*;
 
-use fns_iova::rbtree::RbIntervalTree;
-use fns_iova::{CachingAllocator, IovaAllocator, IovaRange, RbTreeAllocator, RcacheConfig};
+use fns_iova::{
+    CachingAllocator, IntervalSet, IovaAllocator, IovaRange, RbTreeAllocator, RcacheConfig,
+};
 
 /// A randomly generated allocator workload step.
 #[derive(Debug, Clone)]
@@ -73,14 +75,14 @@ proptest! {
     fn rbtree_allocator_never_overlaps(ops in proptest::collection::vec(op_strategy(64, 1), 1..200)) {
         let mut a = RbTreeAllocator::new();
         run_workload(&mut a, &ops, 7);
-        a.tree().check_invariants().unwrap();
+        a.ranges().check_invariants().unwrap();
     }
 
     #[test]
     fn caching_allocator_never_overlaps(ops in proptest::collection::vec(op_strategy(64, 4), 1..300)) {
         let mut a = CachingAllocator::with_defaults(4);
         run_workload(&mut a, &ops, 7);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 
     #[test]
@@ -89,15 +91,15 @@ proptest! {
         let cfg = RcacheConfig { magazine_size: 2, depot_max: 1, max_cached_pages: 8 };
         let mut a = CachingAllocator::new(2, cfg);
         run_workload(&mut a, &ops, 3);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 
     #[test]
-    fn rbtree_invariants_under_random_ops(
+    fn interval_set_invariants_under_random_ops(
         inserts in proptest::collection::vec((0u64..10_000, 1u64..64), 1..200),
         remove_mask in proptest::collection::vec(any::<bool>(), 200),
     ) {
-        let mut t = RbIntervalTree::new();
+        let mut t = IntervalSet::new();
         let mut inserted: Vec<u64> = Vec::new();
         for (i, &(lo, len)) in inserts.iter().enumerate() {
             if t.insert(lo, lo + len - 1).is_ok() {
@@ -110,7 +112,7 @@ proptest! {
             t.check_invariants().unwrap();
         }
         // In-order traversal must be sorted and disjoint.
-        let ranges = t.iter_inorder();
+        let ranges: Vec<_> = t.iter().collect();
         for w in ranges.windows(2) {
             prop_assert!(w[0].1 < w[1].0, "overlap or disorder: {:?}", w);
         }
@@ -118,10 +120,10 @@ proptest! {
     }
 
     #[test]
-    fn rbtree_black_height_is_logarithmic(n in 1usize..800) {
+    fn interval_set_sequential_inserts(n in 1usize..800) {
         // Sequential inserts are the classic worst case for naive BSTs; the
-        // RB tree must stay balanced.
-        let mut t = RbIntervalTree::new();
+        // set must keep its invariants and answer lookups.
+        let mut t = IntervalSet::new();
         for i in 0..n as u64 {
             t.insert(i * 2, i * 2).unwrap();
         }

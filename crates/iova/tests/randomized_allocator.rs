@@ -4,12 +4,14 @@
 //! `proptest_allocator.rs` (DESIGN.md §6) to plain `#[test]`s driven by
 //! [`fns_sim::rng::SimRng`], so they run in the offline tier-1 suite: live
 //! ranges never overlap, frees always succeed for live ranges, and the
-//! red-black tree structure invariants hold after arbitrary op sequences.
+//! range-set invariants (ordered, `lo <= hi`, disjoint) hold after
+//! arbitrary op sequences.
 
 use std::collections::VecDeque;
 
-use fns_iova::rbtree::RbIntervalTree;
-use fns_iova::{CachingAllocator, IovaAllocator, IovaRange, RbTreeAllocator, RcacheConfig};
+use fns_iova::{
+    CachingAllocator, IntervalSet, IovaAllocator, IovaRange, RbTreeAllocator, RcacheConfig,
+};
 use fns_sim::rng::SimRng;
 
 /// A randomly generated allocator workload step.
@@ -85,7 +87,7 @@ fn rbtree_allocator_never_overlaps() {
         let ops = random_ops(&mut rng, 64, 1, 200);
         let mut a = RbTreeAllocator::new();
         run_workload(&mut a, &ops, 7);
-        a.tree().check_invariants().unwrap();
+        a.ranges().check_invariants().unwrap();
     }
 }
 
@@ -96,7 +98,7 @@ fn caching_allocator_never_overlaps() {
         let ops = random_ops(&mut rng, 64, 4, 300);
         let mut a = CachingAllocator::with_defaults(4);
         run_workload(&mut a, &ops, 7);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 }
 
@@ -113,15 +115,15 @@ fn caching_allocator_small_magazines() {
         };
         let mut a = CachingAllocator::new(2, cfg);
         run_workload(&mut a, &ops, 3);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 }
 
 #[test]
-fn rbtree_invariants_under_random_ops() {
+fn interval_set_invariants_under_random_ops() {
     for case in 0..64u64 {
         let mut rng = SimRng::seed(0x4EAF + case);
-        let mut t = RbIntervalTree::new();
+        let mut t = IntervalSet::new();
         let mut inserted: Vec<u64> = Vec::new();
         let n = rng.range(1, 200);
         for _ in 0..n {
@@ -137,7 +139,7 @@ fn rbtree_invariants_under_random_ops() {
             t.check_invariants().unwrap();
         }
         // In-order traversal must be sorted and disjoint.
-        let ranges = t.iter_inorder();
+        let ranges: Vec<_> = t.iter().collect();
         for w in ranges.windows(2) {
             assert!(w[0].1 < w[1].0, "overlap or disorder: {w:?}");
         }
@@ -146,13 +148,13 @@ fn rbtree_invariants_under_random_ops() {
 }
 
 #[test]
-fn rbtree_black_height_is_logarithmic() {
+fn interval_set_sequential_inserts() {
     // Sequential inserts are the classic worst case for naive BSTs; the
-    // RB tree must stay balanced.
+    // set must keep its invariants and answer lookups.
     let mut rng = SimRng::seed(0x5EAF);
     for _ in 0..16 {
         let n = rng.range(1, 800);
-        let mut t = RbIntervalTree::new();
+        let mut t = IntervalSet::new();
         for i in 0..n {
             t.insert(i * 2, i * 2).unwrap();
         }
