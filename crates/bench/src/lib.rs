@@ -54,15 +54,12 @@ pub fn print_micro_row(label: &str, mode: ProtectionMode, m: &RunMetrics) {
 /// of the IOVA allocation stream plus the likely-miss fractions at two
 /// hypothetical PTcache-L3 sizes (the paper's red threshold lines).
 pub fn print_locality_row(label: &str, mode: ProtectionMode, m: &RunMetrics) {
-    let vals: Vec<u64> = m.locality_distances.iter().filter_map(|d| *d).collect();
-    let mut sorted = vals.clone();
-    sorted.sort_unstable();
-    let pct = |p: usize| -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[(sorted.len() - 1) * p / 100]
-        }
+    let n = m.locality.reaccesses();
+    // Nearest-rank below: index (n-1)*p/100 of the sorted distances.
+    let pct = |p: u64| -> u64 {
+        m.locality
+            .value_at_rank(n.saturating_sub(1) * p / 100)
+            .unwrap_or(0)
     };
     println!(
         "{label:>10} {:>14}  reuse-dist mean {:6.2}  p50 {:3}  p95 {:3}  p99 {:3}  \
@@ -74,7 +71,7 @@ pub fn print_locality_row(label: &str, mode: ProtectionMode, m: &RunMetrics) {
         pct(99),
         m.locality_fraction_at_least(16),
         m.locality_fraction_at_least(32),
-        vals.len(),
+        n,
     );
 }
 

@@ -247,7 +247,11 @@ pub struct SimConfig {
     pub measure: Nanos,
     /// RNG seed.
     pub seed: u64,
-    /// Cap on locality-trace samples (Figures 2e/3e/7e/8e).
+    /// Cap on locality-trace samples (Figures 2e/3e/7e/8e): the driver
+    /// stops feeding the reuse-distance tracker once this many accesses,
+    /// warmup and initial ring fill included, have been counted. It bounds
+    /// the counted samples, not memory: the tracker and its histogram are
+    /// O(distinct PT-L4 regions) whatever the cap.
     pub locality_samples: usize,
     /// Allocator aging, as a multiple of the IOVA working-set size (see
     /// [`crate::driver::DmaDriver::age_allocator`]). 0 disables aging.

@@ -1,7 +1,7 @@
 //! Per-run results in the units the paper reports.
 
 use fns_iommu::{DomainStats, IommuStats};
-use fns_sim::stats::Histogram;
+use fns_sim::stats::{DistanceHist, Histogram};
 use fns_sim::time::{throughput_gbps, Nanos};
 use fns_trace::{
     JsonWriter, ProvenanceDump, RegMetric, RegistryReport, SampleSet, Span, SpanSet, Trace, TxnDump,
@@ -48,9 +48,10 @@ pub struct RunMetrics {
     pub stale_iotlb_hits: u64,
     /// Use-after-free PTcache walks observed (must be 0 in all modes).
     pub stale_ptcache_walks: u64,
-    /// Locality trace: reuse distances of allocated IOVAs' PT-L4 keys
-    /// (`None` = first access), the Figures 2e/3e/7e/8e panel.
-    pub locality_distances: Vec<Option<u64>>,
+    /// Locality trace: exact histogram of the reuse distances of allocated
+    /// IOVAs' PT-L4 keys (first accesses counted apart), the Figures
+    /// 2e/3e/7e/8e panel.
+    pub locality: DistanceHist,
     /// Total driver datapath CPU ns — IOVA allocation, map/unmap, *and*
     /// invalidation-queue waits — over the **whole run** (warmup included,
     /// unlike the windowed counters above). Kept for continuity; equals
@@ -170,28 +171,20 @@ impl RunMetrics {
     /// Fraction of locality-trace re-accesses at reuse distance >=
     /// `threshold` (likely misses in a PTcache-L3 of that size).
     pub fn locality_fraction_at_least(&self, threshold: u64) -> f64 {
-        let vals: Vec<u64> = self.locality_distances.iter().filter_map(|d| *d).collect();
-        if vals.is_empty() {
-            return 0.0;
-        }
-        vals.iter().filter(|&&v| v >= threshold).count() as f64 / vals.len() as f64
+        self.locality.fraction_at_least(threshold)
     }
 
     /// Mean reuse distance of the locality trace.
     pub fn locality_mean(&self) -> f64 {
-        let vals: Vec<u64> = self.locality_distances.iter().filter_map(|d| *d).collect();
-        if vals.is_empty() {
-            return 0.0;
-        }
-        vals.iter().sum::<u64>() as f64 / vals.len() as f64
+        self.locality.mean()
     }
 
     /// Serializes the run for post-processing (`fns-sim --metrics-json`).
     ///
     /// Hand-rolled through [`JsonWriter`] (the workspace has no serde).
-    /// The raw locality vector is summarized rather than dumped (it can
-    /// hold hundreds of thousands of entries); the event trace is reported
-    /// by size only — use `--trace` for the full Chrome export.
+    /// The locality histogram is summarized rather than dumped; the event
+    /// trace is reported by size only — use `--trace` for the full Chrome
+    /// export.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::with_capacity(4096);
         w.begin_object();
@@ -256,7 +249,7 @@ impl RunMetrics {
         w.field_u64("stale_ptcache_walks", self.stale_ptcache_walks);
         w.key("locality");
         w.begin_object();
-        w.field_u64("samples", self.locality_distances.len() as u64);
+        w.field_u64("samples", self.locality.samples());
         w.field_f64("mean_distance", self.locality_mean());
         w.end_object();
         w.field_u64("map_cpu_ns", self.map_cpu_ns);
@@ -406,7 +399,8 @@ impl RunMetrics {
     /// inputs taken in shard order, so the merged value is independent of
     /// how many worker threads produced the parts:
     ///
-    /// - counters sum; traces/flight rings k-way merge chronologically
+    /// - counters sum, and so do the latency and locality histograms;
+    ///   traces/flight rings k-way merge chronologically
     ///   with shard index as the tie-break; per-core vectors concatenate
     ///   in shard order (shard 0's cores first).
     /// - `domains` scatters each shard's local domain slice through its
@@ -440,7 +434,7 @@ impl RunMetrics {
         let mut audit = fns_oracle::AuditReport::default();
         let mut watchdog = crate::watchdog::WatchdogReport::default();
         let mut cpu_utilization = Vec::new();
-        let mut locality_distances = Vec::new();
+        let mut locality = DistanceHist::new();
         for p in &parts {
             iommu.absorb(&p.iommu);
             latency.merge(&p.latency);
@@ -455,7 +449,7 @@ impl RunMetrics {
             watchdog.degraded |= p.watchdog.degraded;
             watchdog.aborted |= p.watchdog.aborted;
             cpu_utilization.extend_from_slice(&p.cpu_utilization);
-            locality_distances.extend_from_slice(&p.locality_distances);
+            locality.merge(&p.locality);
         }
 
         let samples = Self::merge_samples(&parts);
@@ -498,7 +492,7 @@ impl RunMetrics {
             latency,
             stale_iotlb_hits: parts.iter().map(|p| p.stale_iotlb_hits).sum(),
             stale_ptcache_walks: parts.iter().map(|p| p.stale_ptcache_walks).sum(),
-            locality_distances,
+            locality,
             map_cpu_ns: parts.iter().map(|p| p.map_cpu_ns).sum(),
             invalidation_cpu_ns: parts.iter().map(|p| p.invalidation_cpu_ns).sum(),
             spans,
@@ -621,7 +615,13 @@ mod tests {
             latency: Histogram::new(),
             stale_iotlb_hits: 0,
             stale_ptcache_walks: 0,
-            locality_distances: vec![None, Some(10), Some(100), Some(1)],
+            locality: {
+                let mut h = DistanceHist::new();
+                for d in [None, Some(10), Some(100), Some(1)] {
+                    h.record(d);
+                }
+                h
+            },
             map_cpu_ns: 0,
             invalidation_cpu_ns: 0,
             spans: SpanSet::default(),

@@ -443,7 +443,6 @@ struct Snapshot {
     storage_ios: u64,
     storage_bytes: u64,
     core_busy: Vec<Nanos>,
-    locality_mark: usize,
 }
 
 impl Snapshot {
@@ -464,7 +463,6 @@ impl Snapshot {
         w.u64(self.storage_ios);
         w.u64(self.storage_bytes);
         w.u64_slice(&self.core_busy);
-        w.usize(self.locality_mark);
     }
 
     fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
@@ -488,7 +486,6 @@ impl Snapshot {
             storage_ios: r.u64()?,
             storage_bytes: r.u64()?,
             core_busy: r.u64_vec()?,
-            locality_mark: r.usize()?,
         })
     }
 }
@@ -2805,8 +2802,10 @@ impl HostSim {
             storage_ios: self.storage_ios,
             storage_bytes: self.storage_bytes,
             core_busy: self.cores.iter().map(|c| c.busy_time()).collect(),
-            locality_mark: self.drv.locality.len(),
         };
+        // The locality panel covers the window only; the tracker keeps its
+        // state, so the first windowed distances still see warmup keys.
+        self.drv.locality.hist_mut().clear();
     }
 
     fn collect(self, end: Nanos) -> RunMetrics {
@@ -2866,7 +2865,7 @@ impl HostSim {
             churned_conns: self.churned_conns - snap.churned_conns,
             cpu_utilization,
             latency: self.latency,
-            locality_distances: self.drv.locality.distances()[snap.locality_mark..].to_vec(),
+            locality: std::mem::take(self.drv.locality.hist_mut()),
             map_cpu_ns: self.drv.map_cpu_ns,
             invalidation_cpu_ns: self.drv.invalidation_cpu_ns,
             spans: self.drv.spans,
@@ -3181,6 +3180,31 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
         assert!(HostSim::restore(cfg, &corrupt).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_a_format_v2_snapshot() {
+        // Format 2 stored the locality trace as a per-access list with a
+        // warmup mark; those bytes must be refused, not misparsed.
+        let mut cfg = SimConfig::paper_default(ProtectionMode::LinuxStrict);
+        cfg.warmup = 500_000;
+        cfg.measure = 2_000_000;
+        let mut sim = HostSim::new(cfg);
+        sim.step_until(1_000_000);
+        let mut bytes = sim.snapshot();
+        let version = fns_snap::MAGIC.len();
+        bytes[version..version + 4].copy_from_slice(&2u32.to_le_bytes());
+        // Re-seal the checksum so only the version check can fire.
+        let body_end = bytes.len() - 8;
+        let sum = fns_snap::fnv1a(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+        match HostSim::restore(cfg, &bytes) {
+            Err(SnapError::VersionMismatch { found: 2, expected }) => {
+                assert_eq!(expected, fns_snap::FORMAT_VERSION);
+            }
+            Err(e) => panic!("expected VersionMismatch, got {e:?}"),
+            Ok(_) => panic!("restore accepted a format-2 snapshot"),
+        }
     }
 
     #[test]

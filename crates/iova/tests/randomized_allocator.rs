@@ -191,6 +191,7 @@ fn locality_mean_reuse_distance(cores: usize, ring_pages: usize, rounds: usize) 
     let mut rx: Vec<VecDeque<IovaRange>> = vec![VecDeque::new(); cores];
     let mut tx: Vec<VecDeque<IovaRange>> = vec![VecDeque::new(); cores];
     let mut rd = ReuseDistance::new();
+    let mut ds: Vec<Option<u64>> = Vec::new();
     let mut state: u64 = 999;
     let mut next = move || {
         state ^= state << 13;
@@ -203,13 +204,13 @@ fn locality_mean_reuse_distance(cores: usize, ring_pages: usize, rounds: usize) 
             // Descriptor refill: 64 pages.
             for _ in 0..64 {
                 let r = a.alloc(1, c).unwrap();
-                rd.access(r.base().l4_page_key());
+                ds.push(rd.access(r.base().l4_page_key()));
                 rx[c].push_back(r);
             }
             // ACK transmissions, freed by the completion core.
             for _ in 0..(next() % 21) {
                 let r = a.alloc(1, c).unwrap();
-                rd.access(r.base().l4_page_key());
+                ds.push(rd.access(r.base().l4_page_key()));
                 tx[c].push_back(r);
             }
             while tx[c].len() > 8 {
@@ -224,7 +225,6 @@ fn locality_mean_reuse_distance(cores: usize, ring_pages: usize, rounds: usize) 
             }
         }
     }
-    let ds = rd.distances();
     let vals: Vec<u64> = ds[ds.len() / 2..].iter().filter_map(|d| *d).collect();
     vals.iter().sum::<u64>() as f64 / vals.len().max(1) as f64
 }

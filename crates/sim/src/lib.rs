@@ -9,8 +9,8 @@
 //! * [`queue`] — a monotonic, deterministically tie-broken event queue,
 //! * [`rng`] — a seedable, reproducible random number generator,
 //! * [`stats`] — counters, log-linear latency histograms (P50..P99.99), and a
-//!   reuse-distance tracker used to regenerate the locality panels
-//!   (Figures 2e, 3e, 7e and 8e of the paper).
+//!   reuse-distance tracker with an exact distance histogram, used to
+//!   regenerate the locality panels (Figures 2e, 3e, 7e and 8e of the paper).
 //!
 //! # Examples
 //!
@@ -31,5 +31,5 @@ pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, MeanTracker, ReuseDistance};
+pub use stats::{DistanceHist, Histogram, MeanTracker, ReuseDistance};
 pub use time::{Bandwidth, Nanos};

@@ -3,7 +3,7 @@
 //! These stand in for the paper's measurement tooling: PCM hardware counters
 //! (plain counters on each model), netperf latency percentiles
 //! ([`Histogram`]), and the PTcache-L3 locality analysis of Figures 2e/3e/7e/8e
-//! ([`ReuseDistance`]).
+//! ([`ReuseDistance`], summarised exactly by [`DistanceHist`]).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -174,6 +174,151 @@ impl Histogram {
     }
 }
 
+/// Exact histogram of reuse distances: a count per distance value plus the
+/// number of first accesses, which have no distance.
+///
+/// A reuse distance is below the number of distinct keys, so the histogram
+/// is O(distinct keys) however long the stream runs. Counts add, so run,
+/// shard and domain histograms merge exactly, and every summary (mean, tail
+/// fraction, order statistic) equals the one computed from the full list of
+/// distances.
+///
+/// # Examples
+///
+/// ```
+/// use fns_sim::stats::DistanceHist;
+///
+/// let mut h = DistanceHist::new();
+/// for d in [None, Some(3), Some(1), None, Some(1)] {
+///     h.record(d);
+/// }
+/// assert_eq!(h.samples(), 5);
+/// assert_eq!(h.reaccesses(), 3);
+/// // Sorted re-access distances are [1, 1, 3].
+/// assert_eq!(h.value_at_rank(1), Some(1));
+/// assert_eq!(h.value_at_rank(2), Some(3));
+/// assert_eq!(h.value_at_rank(3), None);
+/// assert_eq!(h.fraction_at_least(2), 1.0 / 3.0);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DistanceHist {
+    first: u64,
+    // counts[d] = re-accesses at distance d. May carry trailing zeros.
+    counts: Vec<u64>,
+}
+
+impl DistanceHist {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Counts one access: `None` for a first access, else its distance.
+    pub fn record(&mut self, d: Option<u64>) {
+        match d {
+            None => self.first += 1,
+            Some(d) => {
+                let i = d as usize;
+                if i >= self.counts.len() {
+                    self.counts.resize(i + 1, 0);
+                }
+                self.counts[i] += 1;
+            }
+        }
+    }
+
+    /// Forgets every count, keeping the bucket storage.
+    pub fn clear(&mut self) {
+        self.first = 0;
+        self.counts.fill(0);
+    }
+
+    /// Adds another histogram's counts to this one.
+    pub fn merge(&mut self, other: &DistanceHist) {
+        self.first += other.first;
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+    }
+
+    /// Number of accesses counted, first accesses included.
+    pub fn samples(&self) -> u64 {
+        self.first + self.reaccesses()
+    }
+
+    /// Number of re-accesses (accesses with a distance).
+    pub fn reaccesses(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Mean re-access distance (0 if there are none). The integer sum and
+    /// count are those of the full distance list, so the result is the
+    /// same `f64` as `sum as f64 / len as f64` over that list.
+    pub fn mean(&self) -> f64 {
+        let n = self.reaccesses();
+        if n == 0 {
+            return 0.0;
+        }
+        let sum: u64 = self.counts.iter().zip(0u64..).map(|(&c, d)| c * d).sum();
+        sum as f64 / n as f64
+    }
+
+    /// Fraction of re-accesses whose distance is at least `threshold`
+    /// (i.e. likely misses in a cache of `threshold` entries).
+    pub fn fraction_at_least(&self, threshold: u64) -> f64 {
+        let n = self.reaccesses();
+        if n == 0 {
+            return 0.0;
+        }
+        let skip = usize::try_from(threshold).unwrap_or(usize::MAX);
+        let over: u64 = self.counts.iter().skip(skip).sum();
+        over as f64 / n as f64
+    }
+
+    /// The re-access distance at index `rank` of the ascending sorted list
+    /// of distances, `None` if `rank` is past its end.
+    pub fn value_at_rank(&self, rank: u64) -> Option<u64> {
+        let mut seen = 0;
+        for (&c, d) in self.counts.iter().zip(0u64..) {
+            seen += c;
+            if seen > rank {
+                return Some(d);
+            }
+        }
+        None
+    }
+
+    /// Serializes the histogram for checkpointing.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        w.u64(self.first);
+        w.u64_slice(&self.counts);
+    }
+
+    /// Rebuilds a histogram captured by [`DistanceHist::snap`].
+    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+        Ok(Self {
+            first: r.u64()?,
+            counts: r.u64_vec()?,
+        })
+    }
+}
+
+/// Equal when every count is equal; trailing zero buckets left by
+/// [`DistanceHist::clear`] do not matter.
+impl PartialEq for DistanceHist {
+    fn eq(&self, other: &Self) -> bool {
+        fn trimmed(c: &[u64]) -> &[u64] {
+            &c[..c.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1)]
+        }
+        self.first == other.first && trimmed(&self.counts) == trimmed(&other.counts)
+    }
+}
+
+impl Eq for DistanceHist {}
+
 /// Running mean/total tracker for per-page rates (e.g. misses per page).
 ///
 /// # Examples
@@ -248,8 +393,15 @@ impl MeanTracker {
 /// by successive IOVA allocations: an access whose reuse distance exceeds the
 /// cache size is a likely capacity miss.
 ///
-/// Uses the classic Fenwick-tree (binary indexed tree) algorithm: O(log n)
-/// per access.
+/// Uses the classic Fenwick-tree (binary indexed tree) algorithm over
+/// *compacted* positions, O(log D) per access for D distinct keys. The tree
+/// holds one marker per key, at the slot of its most recent access. When the
+/// slots run out, the D live markers are renumbered `0..D` in access order
+/// and the tree is rebuilt with room for at least D more accesses (the stack
+/// compaction of Bennett & Kruskal, "LRU stack processing", 1975). A distance
+/// depends only on the relative order of markers, so compaction never
+/// changes one, and the tracker stays O(D) in memory however long the stream
+/// runs. Distances are counted in a [`DistanceHist`], not stored.
 ///
 /// # Examples
 ///
@@ -257,23 +409,23 @@ impl MeanTracker {
 /// use fns_sim::stats::ReuseDistance;
 ///
 /// let mut rd = ReuseDistance::new();
-/// for k in [1u64, 2, 3, 1] {
-///     rd.access(k);
-/// }
+/// let ds: Vec<_> = [1u64, 2, 3, 1].into_iter().map(|k| rd.access(k)).collect();
 /// // Key 1 is re-accessed after 2 distinct other keys (2 and 3).
-/// assert_eq!(rd.distances(), &[None, None, None, Some(2)]);
+/// assert_eq!(ds, [None, None, None, Some(2)]);
+/// assert_eq!(rd.hist().samples(), 4);
+/// assert_eq!(rd.hist().mean(), 2.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistance {
-    // Fenwick tree over access positions; tree[i] counts "most recent
-    // occurrence" markers. 1-based internally. `markers` mirrors the raw
-    // per-position values so the tree can be rebuilt when it grows (a Fenwick
-    // tree cannot be extended by zero-filling).
+    // Fenwick tree over slots, 1-based internally; a slot holds 1 iff it is
+    // some key's most recent access. Its length is the slot capacity.
     tree: Vec<u64>,
-    markers: Vec<u64>,
+    // Key -> slot of its most recent access.
     last_pos: HashMap<u64, usize, BuildHasherDefault<Mul64Hasher>>,
-    distances: Vec<Option<u64>>,
+    // First unused slot since the last compaction.
+    next: usize,
     n_accesses: usize,
+    hist: DistanceHist,
 }
 
 /// Multiply-shift hasher for the u64 page keys in `last_pos`. The tracker
@@ -308,7 +460,6 @@ impl ReuseDistance {
     }
 
     fn tree_add(&mut self, pos: usize, delta: i64) {
-        self.markers[pos] = self.markers[pos].wrapping_add(delta as u64);
         let mut i = pos + 1;
         while i <= self.tree.len() {
             let slot = &mut self.tree[i - 1];
@@ -317,21 +468,7 @@ impl ReuseDistance {
         }
     }
 
-    /// Grows capacity to at least `cap` and rebuilds the Fenwick tree.
-    fn grow(&mut self, cap: usize) {
-        let cap = cap.next_power_of_two().max(64);
-        self.markers.resize(cap, 0);
-        self.tree = vec![0; cap];
-        for i in 1..=cap {
-            self.tree[i - 1] = self.tree[i - 1].wrapping_add(self.markers[i - 1]);
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                self.tree[parent - 1] = self.tree[parent - 1].wrapping_add(self.tree[i - 1]);
-            }
-        }
-    }
-
-    /// Sum of "most recent occurrence" markers in positions `[0, i]`.
+    /// Sum of "most recent occurrence" markers in slots `[0, i]`.
     fn tree_sum(&self, i: usize) -> u64 {
         let mut s = 0u64;
         let mut j = i + 1;
@@ -342,46 +479,74 @@ impl ReuseDistance {
         s
     }
 
-    /// Records an access to `key` and returns its reuse distance.
-    pub fn access(&mut self, key: u64) -> Option<u64> {
-        let pos = self.n_accesses;
-        self.n_accesses += 1;
-        if self.tree.len() < self.n_accesses {
-            self.grow(self.n_accesses);
+    /// Renumbers the live markers `0..D` in access order and rebuilds the
+    /// tree with capacity `max(64, 2D)` rounded up to a power of two.
+    fn compact(&mut self) {
+        let live = self.last_pos.len();
+        let mut slots: Vec<&mut usize> = self.last_pos.values_mut().collect();
+        slots.sort_unstable_by_key(|s| **s);
+        for (i, s) in slots.into_iter().enumerate() {
+            *s = i;
         }
-        let dist = if let Some(&prev) = self.last_pos.get(&key) {
-            // Distinct keys strictly between prev and pos: markers in
-            // (prev, pos) = sum[0..pos-1] - sum[0..prev].
-            let upto_pos = if pos == 0 { 0 } else { self.tree_sum(pos - 1) };
-            let upto_prev = self.tree_sum(prev);
-            // Remove the old "most recent" marker for this key.
+        let cap = (2 * live).next_power_of_two().max(64);
+        // Node i (1-based) covers slots [i - lowbit(i), i); markers fill
+        // slots [0, live).
+        self.tree.clear();
+        self.tree.extend((1..=cap).map(|i| {
+            let lo = i - (i & i.wrapping_neg());
+            i.min(live).saturating_sub(lo) as u64
+        }));
+        self.next = live;
+    }
+
+    /// Records an access to `key`, counts its reuse distance in
+    /// [`ReuseDistance::hist`] and returns it.
+    pub fn access(&mut self, key: u64) -> Option<u64> {
+        if self.next == self.tree.len() {
+            self.compact();
+        }
+        let pos = self.next;
+        self.next += 1;
+        self.n_accesses += 1;
+        // One live marker per distinct key seen so far, all below `pos`.
+        let live = self.last_pos.len() as u64;
+        let dist = self.last_pos.insert(key, pos).map(|prev| {
+            // Distinct keys accessed since `prev`: the markers after it.
+            let d = live - self.tree_sum(prev);
             self.tree_add(prev, -1);
-            Some(upto_pos - upto_prev)
-        } else {
-            None
-        };
+            d
+        });
         self.tree_add(pos, 1);
-        self.last_pos.insert(key, pos);
-        self.distances.push(dist);
+        self.hist.record(dist);
         dist
     }
 
-    /// Forgets every recorded access while keeping the marker, distance and
-    /// position-map storage — the arena hook for back-to-back runs.
+    /// Forgets every recorded access while keeping the tree, position-map
+    /// and histogram storage — the arena hook for back-to-back runs.
     pub fn reset(&mut self) {
         self.tree.clear();
-        self.markers.clear();
         self.last_pos.clear();
-        self.distances.clear();
+        self.next = 0;
         self.n_accesses = 0;
+        self.hist.clear();
     }
 
-    /// All recorded distances, in access order.
-    pub fn distances(&self) -> &[Option<u64>] {
-        &self.distances
+    /// Histogram of the distances recorded since creation, [`reset`] or
+    /// the last clear through [`ReuseDistance::hist_mut`].
+    ///
+    /// [`reset`]: ReuseDistance::reset
+    pub fn hist(&self) -> &DistanceHist {
+        &self.hist
     }
 
-    /// Number of recorded accesses.
+    /// Mutable access to the histogram, to clear it at a measurement
+    /// boundary or move it out. The tracker's own state is unaffected, so
+    /// later distances still count keys seen before the boundary.
+    pub fn hist_mut(&mut self) -> &mut DistanceHist {
+        &mut self.hist
+    }
+
+    /// Number of recorded accesses (the histogram's clears do not reset it).
     pub fn len(&self) -> usize {
         self.n_accesses
     }
@@ -392,11 +557,10 @@ impl ReuseDistance {
     }
 
     /// Serializes the full tracker state for checkpointing. The Fenwick
-    /// tree and markers are captured verbatim (physical state), the
-    /// position map sorted by key so the byte stream is deterministic.
+    /// tree is captured verbatim (physical state), the position map sorted
+    /// by key so the byte stream is deterministic.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.u64_slice(&self.tree);
-        w.u64_slice(&self.markers);
         let mut pairs: Vec<(u64, usize)> = self.last_pos.iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_unstable();
         w.seq(pairs.len());
@@ -404,17 +568,14 @@ impl ReuseDistance {
             w.u64(k);
             w.usize(v);
         }
-        w.seq(self.distances.len());
-        for d in &self.distances {
-            w.opt(d, |w, &v| w.u64(v));
-        }
+        w.usize(self.next);
         w.usize(self.n_accesses);
+        self.hist.snap(w);
     }
 
     /// Rebuilds a tracker captured by [`ReuseDistance::snap`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
         let tree = r.u64_vec()?;
-        let markers = r.u64_vec()?;
         let n = r.seq()?;
         let mut last_pos =
             HashMap::with_capacity_and_hasher(n, BuildHasherDefault::<Mul64Hasher>::default());
@@ -423,29 +584,13 @@ impl ReuseDistance {
             let v = r.usize()?;
             last_pos.insert(k, v);
         }
-        let n = r.seq()?;
-        let mut distances = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            distances.push(r.opt(|r| r.u64())?);
-        }
         Ok(Self {
             tree,
-            markers,
             last_pos,
-            distances,
+            next: r.usize()?,
             n_accesses: r.usize()?,
+            hist: DistanceHist::unsnap(r)?,
         })
-    }
-
-    /// Fraction of re-accesses whose reuse distance is at least `threshold`
-    /// (i.e. likely misses in a cache of `threshold` entries).
-    pub fn fraction_at_least(&self, threshold: u64) -> f64 {
-        let reaccesses: Vec<u64> = self.distances.iter().filter_map(|d| *d).collect();
-        if reaccesses.is_empty() {
-            return 0.0;
-        }
-        let over = reaccesses.iter().filter(|&&d| d >= threshold).count();
-        over as f64 / reaccesses.len() as f64
     }
 }
 
@@ -536,36 +681,32 @@ mod tests {
         assert_eq!(m.count(), 3);
     }
 
+    /// Feeds `keys` through `rd`, returning every access's distance.
+    fn run(rd: &mut ReuseDistance, keys: &[u64]) -> Vec<Option<u64>> {
+        keys.iter().map(|&k| rd.access(k)).collect()
+    }
+
     #[test]
     fn reuse_distance_basic() {
         let mut rd = ReuseDistance::new();
         // a b c a b b
-        for k in [0u64, 1, 2, 0, 1, 1] {
-            rd.access(k);
-        }
         assert_eq!(
-            rd.distances(),
-            &[None, None, None, Some(2), Some(2), Some(0)]
+            run(&mut rd, &[0, 1, 2, 0, 1, 1]),
+            [None, None, None, Some(2), Some(2), Some(0)]
         );
     }
 
     #[test]
     fn reuse_distance_repeated_same_key() {
         let mut rd = ReuseDistance::new();
-        for _ in 0..5 {
-            rd.access(42);
-        }
-        assert_eq!(rd.distances()[1..], [Some(0); 4]);
+        assert_eq!(run(&mut rd, &[42; 5])[1..], [Some(0); 4]);
     }
 
     #[test]
     fn reuse_distance_counts_distinct_not_total() {
         let mut rd = ReuseDistance::new();
         // a b b b a -> distance for final a is 1 (only b between).
-        for k in [0u64, 1, 1, 1, 0] {
-            rd.access(k);
-        }
-        assert_eq!(rd.distances()[4], Some(1));
+        assert_eq!(run(&mut rd, &[0, 1, 1, 1, 0])[4], Some(1));
     }
 
     #[test]
@@ -575,9 +716,10 @@ mod tests {
         for i in 0..40u64 {
             rd.access(i % 4);
         }
-        assert_eq!(rd.fraction_at_least(4), 0.0);
-        assert_eq!(rd.fraction_at_least(3), 1.0);
-        assert!(rd.fraction_at_least(2) > 0.99);
+        let h = rd.hist();
+        assert_eq!(h.fraction_at_least(4), 0.0);
+        assert_eq!(h.fraction_at_least(3), 1.0);
+        assert!(h.fraction_at_least(2) > 0.99);
     }
 
     #[test]
@@ -599,5 +741,185 @@ mod tests {
             assert_eq!(got, expected, "at access {i}");
             naive_last.insert(k, i);
         }
+    }
+
+    /// A seeded stream over exactly `d` keys, drawn from a move-to-front LRU
+    /// stack: each access either introduces a new key or re-touches the key
+    /// at a log-uniformly chosen stack depth. Returns the keys and the
+    /// reference distances (the depth, `None` for a new key).
+    fn lru_stack_stream(d: usize, n: usize, seed: u64) -> (Vec<u64>, Vec<Option<u64>>) {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed(seed);
+        let mut stack: Vec<u64> = Vec::new(); // most recent last
+        let (mut keys, mut want) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            if stack.len() < d && (stack.is_empty() || rng.chance(0.05)) {
+                // Scattered key values exercise the hasher like page keys do.
+                let key = (stack.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                stack.push(key);
+                keys.push(key);
+                want.push(None);
+                continue;
+            }
+            let bits = usize::BITS - stack.len().leading_zeros();
+            let span = 1usize << rng.index(bits as usize + 1);
+            let depth = rng.index(span.min(stack.len()));
+            let key = stack.remove(stack.len() - 1 - depth);
+            stack.push(key);
+            keys.push(key);
+            want.push(Some(depth as u64));
+        }
+        assert_eq!(stack.len(), d, "stream must touch all {d} keys");
+        (keys, want)
+    }
+
+    #[test]
+    fn compacted_tracker_matches_lru_stack_reference() {
+        for (d, seed) in [(1usize, 1u64), (7, 2), (300, 3), (5000, 4)] {
+            let n = 120_000;
+            let (keys, want) = lru_stack_stream(d, n, seed);
+            let mut rd = ReuseDistance::new();
+            let mut resumed: Option<ReuseDistance> = None;
+            let (mut compactions, mut last_next, mut distinct) = (0, 0, 0);
+            for (i, (&k, &w)) in keys.iter().zip(&want).enumerate() {
+                // Snapshot mid-stream, off any compaction boundary; the copy
+                // must continue identically.
+                if i == n / 2 + 17 {
+                    let mut sw = SnapWriter::new();
+                    rd.snap(&mut sw);
+                    let bytes = sw.finish();
+                    let mut r = SnapReader::new(&bytes).unwrap();
+                    resumed = Some(ReuseDistance::unsnap(&mut r).unwrap());
+                    r.done().unwrap();
+                }
+                assert_eq!(rd.access(k), w, "D={d}, access {i}");
+                if let Some(copy) = resumed.as_mut() {
+                    assert_eq!(copy.access(k), w, "resumed D={d}, access {i}");
+                }
+                distinct += usize::from(w.is_none());
+                assert!(
+                    rd.tree.len() <= (4 * distinct).max(64),
+                    "D={d}: capacity {} for {distinct} keys",
+                    rd.tree.len()
+                );
+                compactions += usize::from(rd.next < last_next);
+                last_next = rd.next;
+            }
+            assert!(compactions >= 5, "D={d}: only {compactions} compactions");
+            let copy = resumed.unwrap();
+            assert_eq!(copy.hist(), rd.hist());
+            assert_eq!(copy.len(), n);
+            let mut expect = DistanceHist::new();
+            want.iter().for_each(|&w| expect.record(w));
+            assert_eq!(rd.hist(), &expect, "D={d}");
+        }
+    }
+
+    #[test]
+    fn reset_tracker_matches_fresh() {
+        let (keys, want) = lru_stack_stream(40, 5000, 9);
+        let mut rd = ReuseDistance::new();
+        run(&mut rd, &keys[..3000]);
+        rd.reset();
+        assert!(rd.is_empty());
+        assert_eq!(run(&mut rd, &keys), want);
+    }
+
+    /// The summaries the locality panel used to compute from the full list
+    /// of distances, for comparison.
+    fn list_mean(ds: &[Option<u64>]) -> f64 {
+        let vals: Vec<u64> = ds.iter().filter_map(|d| *d).collect();
+        if vals.is_empty() {
+            return 0.0;
+        }
+        vals.iter().sum::<u64>() as f64 / vals.len() as f64
+    }
+
+    fn random_distances(seed: u64, n: usize, max: u64) -> Vec<Option<u64>> {
+        let mut rng = crate::rng::SimRng::seed(seed);
+        (0..n)
+            .map(|_| (!rng.chance(0.1)).then(|| rng.range(0, max)))
+            .collect()
+    }
+
+    fn hist_of(ds: &[Option<u64>]) -> DistanceHist {
+        let mut h = DistanceHist::new();
+        ds.iter().for_each(|&d| h.record(d));
+        h
+    }
+
+    #[test]
+    fn distance_hist_merge_equals_concatenated_stream() {
+        // Shards with different distance ranges, so bucket vectors differ
+        // in length.
+        let shards = [
+            random_distances(1, 4000, 9),
+            random_distances(2, 0, 1),
+            random_distances(3, 2500, 60),
+            random_distances(4, 700, 3),
+        ];
+        let mut merged = DistanceHist::new();
+        for s in &shards {
+            merged.merge(&hist_of(s));
+        }
+        let all = shards.concat();
+        assert_eq!(merged, hist_of(&all));
+        assert_eq!(merged.samples(), all.len() as u64);
+        assert_eq!(merged.mean().to_bits(), list_mean(&all).to_bits());
+    }
+
+    #[test]
+    fn distance_hist_summaries_match_the_distance_list() {
+        for (seed, n, max) in [
+            (5u64, 1usize, 4u64),
+            (6, 999, 7),
+            (7, 20_000, 300),
+            (8, 3, 1),
+        ] {
+            let ds = random_distances(seed, n, max);
+            let h = hist_of(&ds);
+            let mut sorted: Vec<u64> = ds.iter().filter_map(|d| *d).collect();
+            sorted.sort_unstable();
+            assert_eq!(h.reaccesses(), sorted.len() as u64);
+            assert_eq!(h.mean().to_bits(), list_mean(&ds).to_bits(), "seed {seed}");
+            for p in 0..=100 {
+                if let Some(last) = sorted.len().checked_sub(1) {
+                    let i = last * p / 100;
+                    assert_eq!(h.value_at_rank(i as u64), Some(sorted[i]), "p{p}");
+                }
+            }
+            assert_eq!(h.value_at_rank(sorted.len() as u64), None);
+            for t in [0, 1, 4, 16, 1000] {
+                let over = sorted.iter().filter(|&&d| d >= t).count();
+                let want = if sorted.is_empty() {
+                    0.0
+                } else {
+                    over as f64 / sorted.len() as f64
+                };
+                assert_eq!(h.fraction_at_least(t).to_bits(), want.to_bits());
+            }
+        }
+        let empty = DistanceHist::new();
+        assert_eq!((empty.mean(), empty.fraction_at_least(0)), (0.0, 0.0));
+        assert_eq!(empty.value_at_rank(0), None);
+    }
+
+    #[test]
+    fn distance_hist_equality_ignores_trailing_zero_buckets() {
+        let mut cleared = DistanceHist::new();
+        cleared.record(Some(40));
+        cleared.clear();
+        cleared.record(Some(2));
+        cleared.record(None);
+        let fresh = hist_of(&[None, Some(2)]);
+        assert_eq!(cleared, fresh);
+        assert_eq!(fresh, cleared);
+        assert_ne!(cleared, hist_of(&[None, Some(3)]));
+        assert_ne!(cleared, hist_of(&[Some(2)]));
+        let mut w = SnapWriter::new();
+        cleared.snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(DistanceHist::unsnap(&mut r).unwrap(), fresh);
     }
 }

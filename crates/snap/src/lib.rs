@@ -27,7 +27,7 @@ pub const MAGIC: &[u8; 8] = b"FNSSNAP1";
 
 /// Format version written after the magic. Bump on ANY layout change to any
 /// `snap`/`unsnap` pair — old snapshots must refuse to load, not misparse.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load. Every variant names the exact reason so a
 /// refused resume is diagnosable from the error alone.
