@@ -27,6 +27,7 @@ use fns_nic::descriptor::{Descriptor, DescriptorPage};
 use fns_oracle::AuditHandle;
 use fns_sim::stats::ReuseDistance;
 use fns_sim::time::Nanos;
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fns_trace::{ObsHandle, Span, SpanSet, TraceCategory, TraceData, TraceHandle};
 
 use crate::config::CpuCosts;
@@ -109,6 +110,37 @@ pub enum Sabotage {
     /// domain scoping entirely, so one tenant's stale entries end up
     /// resolving to frames another tenant now owns.
     SkipDomainScopedInvalidation,
+}
+
+/// A tag byte in declaration order, then the variant's ordinal if any.
+impl Snap for Sabotage {
+    fn snap(&self, w: &mut SnapWriter) {
+        match *self {
+            Sabotage::None => w.u8(0),
+            Sabotage::SkipRangeInvalidation { nth } => (1u8, nth).snap(w),
+            Sabotage::SkipReclaimFixup => w.u8(2),
+            Sabotage::SkipDeferredFlush => w.u8(3),
+            Sabotage::CrossDomainLeak { nth } => (4u8, nth).snap(w),
+            Sabotage::SkipDomainScopedInvalidation => w.u8(5),
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => Sabotage::None,
+            1 => Sabotage::SkipRangeInvalidation { nth: r.u64()? },
+            2 => Sabotage::SkipReclaimFixup,
+            3 => Sabotage::SkipDeferredFlush,
+            4 => Sabotage::CrossDomainLeak { nth: r.u64()? },
+            5 => Sabotage::SkipDomainScopedInvalidation,
+            t => {
+                return Err(SnapError::BadTag {
+                    what: "sabotage",
+                    tag: t as u64,
+                })
+            }
+        })
+    }
 }
 
 /// Storage harvested from a finished [`DmaDriver`] — the driver's share of
@@ -814,120 +846,41 @@ impl DmaDriver {
         true
     }
 
-    fn snap_request(w: &mut fns_snap::SnapWriter, r: &InvalidationRequest) {
-        w.u64(r.range.base().as_u64());
-        w.u64(r.range.pages());
-        w.u8(match r.scope {
-            InvalidationScope::IotlbOnly => 0,
-            InvalidationScope::IotlbAndLeafPtcache => 1,
-            InvalidationScope::IotlbAndFullPtcache => 2,
-        });
-        w.u64(r.domain as u64);
-    }
-
-    fn unsnap_request(
-        r: &mut fns_snap::SnapReader,
-    ) -> Result<InvalidationRequest, fns_snap::SnapError> {
-        let base = Iova::new(r.u64()?);
-        let pages = r.u64()?;
-        let scope = match r.u8()? {
-            0 => InvalidationScope::IotlbOnly,
-            1 => InvalidationScope::IotlbAndLeafPtcache,
-            2 => InvalidationScope::IotlbAndFullPtcache,
-            t => {
-                return Err(fns_snap::SnapError::BadTag {
-                    what: "invalidation scope",
-                    tag: t as u64,
-                })
-            }
-        };
-        let domain = r.u64()? as u16;
-        Ok(InvalidationRequest {
-            range: IovaRange::new(base, pages),
-            scope,
-            domain,
-        })
-    }
-
     /// Serializes the full driver state for checkpointing. Scratch pools
     /// (`page_pool`, `req_scratch`, `reclaim_scratch`, `epoch_scratch`) are
     /// not serialized — they are behaviorally invisible storage caches and
     /// come back empty. The trace/audit/fault planes' *handles* are also
     /// excluded: the simulation owns those and reattaches them on restore.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
+    /// The pending PTcache wipes travel as the two flat rings (epoch
+    /// lengths, then the requests in submission order).
+    pub fn snap(&self, w: &mut SnapWriter) {
         self.iommu.snap(w);
         self.alloc.snap(w);
         self.frames.snap(w);
-        w.u64(self.rx_desc_pages);
-        w.seq(self.tx_chunk.len());
-        for slot in &self.tx_chunk {
-            w.opt(slot, |w, &b| w.u64(b));
-        }
-        w.seq(self.rx_chunk.len());
-        for slot in &self.rx_chunk {
-            w.opt(slot, |w, &b| w.u64(b));
-        }
-        let mut bases: Vec<u64> = self.chunks.keys().copied().collect();
-        bases.sort_unstable();
-        w.seq(bases.len());
-        for base in bases {
-            w.u64(base);
-            self.chunks[&base].snap(w);
-        }
-        w.u32(self.deferred_pending);
-        w.u32(self.deferred_threshold);
-        w.seq(self.pinned_free.len());
-        for pool in &self.pinned_free {
-            w.seq(pool.len());
-            for p in pool {
-                w.u64(p.iova.as_u64());
-                w.u64(p.pa.as_u64());
-            }
-        }
-        w.u64(self.next_pinned_pfn);
-        w.seq(self.huge_frames.len());
-        for v in &self.huge_frames {
-            w.u64_slice(v);
-        }
-        w.seq(self.quarantine.len());
-        for v in &self.quarantine {
-            w.u64_slice(v);
-        }
-        // The flat pending ring serializes as (epoch lengths, then the
-        // requests in submission order); both rings restore exactly.
-        w.seq(self.pending_wipe_epochs.len());
-        for &len in &self.pending_wipe_epochs {
-            w.u32(len);
-        }
-        w.seq(self.pending_wipe_reqs.len());
-        for req in &self.pending_wipe_reqs {
-            Self::snap_request(w, req);
-        }
+        self.rx_desc_pages.snap(w);
+        self.tx_chunk.snap(w);
+        self.rx_chunk.snap(w);
+        self.chunks.snap(w);
+        self.deferred_pending.snap(w);
+        self.deferred_threshold.snap(w);
+        self.pinned_free.snap(w);
+        self.next_pinned_pfn.snap(w);
+        self.huge_frames.snap(w);
+        self.quarantine.snap(w);
+        self.pending_wipe_epochs.snap(w);
+        self.pending_wipe_reqs.snap(w);
         self.locality.snap(w);
-        w.usize(self.locality_cap);
-        w.bool(self.locality_recording);
-        w.u64(self.invalidation_cpu_ns);
-        w.u64(self.map_cpu_ns);
+        self.locality_cap.snap(w);
+        self.locality_recording.snap(w);
+        self.invalidation_cpu_ns.snap(w);
+        self.map_cpu_ns.snap(w);
         self.spans.snap(w);
-        w.u64(self.deferred_flushes);
+        self.deferred_flushes.snap(w);
         self.faults.snap(w);
-        match self.sabotage {
-            Sabotage::None => w.u8(0),
-            Sabotage::SkipRangeInvalidation { nth } => {
-                w.u8(1);
-                w.u64(nth);
-            }
-            Sabotage::SkipReclaimFixup => w.u8(2),
-            Sabotage::SkipDeferredFlush => w.u8(3),
-            Sabotage::CrossDomainLeak { nth } => {
-                w.u8(4);
-                w.u64(nth);
-            }
-            Sabotage::SkipDomainScopedInvalidation => w.u8(5),
-        }
-        w.u64(self.inv_submit_seq);
-        w.u64(self.map_ops);
-        w.u64(self.next_desc_id);
+        self.sabotage.snap(w);
+        self.inv_submit_seq.snap(w);
+        self.map_ops.snap(w);
+        self.next_desc_id.snap(w);
     }
 
     /// Rebuilds a driver captured by [`DmaDriver::snap`]. `mode`, `costs`,
@@ -936,135 +889,56 @@ impl DmaDriver {
     /// handles come back `Off` — reattach with [`DmaDriver::set_trace`] /
     /// [`DmaDriver::set_audit`].
     pub fn unsnap(
-        r: &mut fns_snap::SnapReader,
+        r: &mut SnapReader<'_>,
         mode: ProtectionMode,
         costs: CpuCosts,
         fault_cfg: fns_faults::FaultConfig,
-    ) -> Result<Self, fns_snap::SnapError> {
-        let iommu = Iommu::unsnap(r)?;
-        let alloc = CachingAllocator::unsnap(r)?;
-        let frames = FrameAllocator::unsnap(r)?;
-        let rx_desc_pages = r.u64()?;
-        let n = r.seq()?;
-        let mut tx_chunk = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            tx_chunk.push(r.opt(|r| r.u64())?);
-        }
-        let n = r.seq()?;
-        let mut rx_chunk = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            rx_chunk.push(r.opt(|r| r.u64())?);
-        }
-        let n = r.seq()?;
-        let mut chunks = PfnMap::default();
-        for _ in 0..n {
-            let base = r.u64()?;
-            chunks.insert(base, ChunkCarver::unsnap(r)?);
-        }
-        let deferred_pending = r.u32()?;
-        let deferred_threshold = r.u32()?;
-        let n = r.seq()?;
-        let mut pinned_free = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let len = r.seq()?;
-            let mut pool = std::collections::VecDeque::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                let iova = Iova::new(r.u64()?);
-                let pa = PhysAddr::new(r.u64()?);
-                pool.push_back(DescriptorPage { iova, pa });
-            }
-            pinned_free.push(pool);
-        }
-        let next_pinned_pfn = r.u64()?;
-        let n = r.seq()?;
-        let mut huge_frames = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            huge_frames.push(r.u64_vec()?);
-        }
-        let n = r.seq()?;
-        let mut quarantine = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            quarantine.push(r.u64_vec()?);
-        }
-        let n = r.seq()?;
-        let mut pending_wipe_epochs = std::collections::VecDeque::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            pending_wipe_epochs.push_back(r.u32()?);
-        }
-        let n = r.seq()?;
-        let mut pending_wipe_reqs = std::collections::VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            pending_wipe_reqs.push_back(Self::unsnap_request(r)?);
-        }
-        let locality = ReuseDistance::unsnap(r)?;
-        let locality_cap = r.usize()?;
-        let locality_recording = r.bool()?;
-        let invalidation_cpu_ns = r.u64()?;
-        let map_cpu_ns = r.u64()?;
-        let spans = SpanSet::unsnap(r)?;
-        let deferred_flushes = r.u64()?;
-        let faults = FaultPlane::unsnap(fault_cfg, r)?;
-        let sabotage = match r.u8()? {
-            0 => Sabotage::None,
-            1 => Sabotage::SkipRangeInvalidation { nth: r.u64()? },
-            2 => Sabotage::SkipReclaimFixup,
-            3 => Sabotage::SkipDeferredFlush,
-            4 => Sabotage::CrossDomainLeak { nth: r.u64()? },
-            5 => Sabotage::SkipDomainScopedInvalidation,
-            t => {
-                return Err(fns_snap::SnapError::BadTag {
-                    what: "sabotage",
-                    tag: t as u64,
-                })
-            }
-        };
-        let inv_submit_seq = r.u64()?;
-        let map_ops = r.u64()?;
-        let next_desc_id = r.u64()?;
-        let domains = iommu.domains().max(1);
-        let cores = tx_chunk.len() / domains as usize;
-        Ok(Self {
+    ) -> Result<Self, SnapError> {
+        let mut drv = Self {
             mode,
-            iommu,
-            alloc,
-            frames,
+            iommu: Snap::unsnap(r)?,
+            alloc: Snap::unsnap(r)?,
+            frames: Snap::unsnap(r)?,
             invq: InvalidationQueue::default(),
             costs,
-            rx_desc_pages,
-            cores,
-            domains,
-            tx_chunk,
-            rx_chunk,
-            chunks,
-            deferred_pending,
-            deferred_threshold,
-            pinned_free,
-            next_pinned_pfn,
-            huge_frames,
-            quarantine,
-            pending_wipe_reqs,
-            pending_wipe_epochs,
+            rx_desc_pages: Snap::unsnap(r)?,
+            cores: 0,
+            domains: 0,
+            tx_chunk: Snap::unsnap(r)?,
+            rx_chunk: Snap::unsnap(r)?,
+            chunks: Snap::unsnap(r)?,
+            deferred_pending: Snap::unsnap(r)?,
+            deferred_threshold: Snap::unsnap(r)?,
+            pinned_free: Snap::unsnap(r)?,
+            next_pinned_pfn: Snap::unsnap(r)?,
+            huge_frames: Snap::unsnap(r)?,
+            quarantine: Snap::unsnap(r)?,
+            pending_wipe_epochs: Snap::unsnap(r)?,
+            pending_wipe_reqs: Snap::unsnap(r)?,
             epoch_scratch: Vec::new(),
             coalesce_inv_drain: true,
             page_pool: Vec::new(),
             req_scratch: Vec::new(),
             reclaim_scratch: Vec::new(),
-            locality,
-            locality_cap,
-            locality_recording,
-            invalidation_cpu_ns,
-            map_cpu_ns,
-            spans,
-            deferred_flushes,
-            faults,
+            locality: Snap::unsnap(r)?,
+            locality_cap: Snap::unsnap(r)?,
+            locality_recording: Snap::unsnap(r)?,
+            invalidation_cpu_ns: Snap::unsnap(r)?,
+            map_cpu_ns: Snap::unsnap(r)?,
+            spans: Snap::unsnap(r)?,
+            deferred_flushes: Snap::unsnap(r)?,
+            faults: FaultPlane::unsnap(fault_cfg, r)?,
             trace: TraceHandle::default(),
             audit: AuditHandle::default(),
             obs: ObsHandle::default(),
-            sabotage,
-            inv_submit_seq,
-            map_ops,
-            next_desc_id,
-        })
+            sabotage: Snap::unsnap(r)?,
+            inv_submit_seq: Snap::unsnap(r)?,
+            map_ops: Snap::unsnap(r)?,
+            next_desc_id: Snap::unsnap(r)?,
+        };
+        drv.domains = drv.iommu.domains().max(1);
+        drv.cores = drv.tx_chunk.len() / drv.domains as usize;
+        Ok(drv)
     }
 
     /// Enables/disables locality-trace recording (off during init-time

@@ -31,6 +31,12 @@ pub struct SerialResource {
     jobs: u64,
 }
 
+fns_snap::snap_fields!(SerialResource {
+    busy_until,
+    busy_accum,
+    jobs
+});
+
 impl SerialResource {
     /// Creates an idle resource.
     pub fn new() -> Self {
@@ -80,22 +86,6 @@ impl SerialResource {
     /// Current queueing delay for new work submitted at `now`.
     pub fn backlog(&self, now: Nanos) -> Nanos {
         self.busy_until.saturating_sub(now)
-    }
-
-    /// Serializes the occupancy state for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.busy_until);
-        w.u64(self.busy_accum);
-        w.u64(self.jobs);
-    }
-
-    /// Rebuilds a resource captured by [`SerialResource::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            busy_until: r.u64()?,
-            busy_accum: r.u64()?,
-            jobs: r.u64()?,
-        })
     }
 }
 

@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 use fns_net::packet::{rss_queue, FlowId};
 use fns_sim::time::Nanos;
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::{SimConfig, Workload};
 use crate::metrics::RunMetrics;
@@ -349,19 +349,15 @@ impl ShardedSim {
     /// fingerprint canonicalizes `shards`, which never affects state.
     pub fn restore(cfg: SimConfig, bytes: &[u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes)?;
-        if r.u64()? != Self::fingerprint(&cfg) {
+        if u64::unsnap(&mut r)? != Self::fingerprint(&cfg) {
             return Err(SnapError::ConfigMismatch { what: "sim config" });
         }
-        let now = r.u64()?;
-        let n = r.seq()?;
-        if n != plan_shards(&cfg).len() {
+        let now = Nanos::unsnap(&mut r)?;
+        let blobs = Vec::<Vec<u8>>::unsnap(&mut r)?;
+        if blobs.len() != plan_shards(&cfg).len() {
             return Err(SnapError::ConfigMismatch {
                 what: "shard partition",
             });
-        }
-        let mut blobs = Vec::with_capacity(n);
-        for _ in 0..n {
-            blobs.push(r.bytes()?.to_vec());
         }
         r.done()?;
         Self::build(cfg, Some(blobs), now)
@@ -497,21 +493,18 @@ impl ShardedSim {
     /// Serializes the full sharded state. Call at an epoch barrier (any
     /// `step_until` target is one) so no digest is mid-flight.
     pub fn snapshot(&mut self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.u64(Self::fingerprint(&self.cfg));
-        w.u64(self.now);
-        w.seq(self.shard_count());
+        let mut blobs = Vec::with_capacity(self.shard_count());
         for w_idx in 0..self.workers.len() {
             self.workers[w_idx].send(Cmd::Snapshot);
             match self.workers[w_idx].recv() {
-                Reply::Snapshots(blobs) => {
-                    for blob in blobs {
-                        w.bytes(&blob);
-                    }
-                }
+                Reply::Snapshots(shard_blobs) => blobs.extend(shard_blobs),
                 _ => unreachable!("Snapshot replies Snapshots"),
             }
         }
+        let mut w = SnapWriter::new();
+        Self::fingerprint(&self.cfg).snap(&mut w);
+        self.now.snap(&mut w);
+        blobs.snap(&mut w);
         w.finish()
     }
 

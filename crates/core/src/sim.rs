@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 
 use fns_faults::{FaultKind, FaultPlane};
 use fns_iova::types::Iova;
-use fns_mem::addr::PhysAddr;
 use fns_net::packet::{rss_queue, FlowId, Packet, PacketKind};
 use fns_net::receiver::FlowReceiver;
 use fns_net::sender::{DctcpConfig, DctcpSender};
@@ -36,7 +35,7 @@ use fns_sim::queue::EventQueue;
 use fns_sim::rng::SimRng;
 use fns_sim::stats::Histogram;
 use fns_sim::time::Nanos;
-use fns_snap::{fnv1a, SnapError, SnapReader, SnapWriter};
+use fns_snap::{fnv1a, narrow, Snap, SnapError, SnapReader, SnapWriter};
 use fns_trace::{ObsHandle, Sample, Sampler, Trace, TraceCategory, TraceData, TraceHandle};
 
 use crate::config::{SimConfig, Workload};
@@ -131,128 +130,74 @@ enum Ev {
     IncastKick,
 }
 
-impl Ev {
-    /// Serializes one event for checkpointing (tag in declaration order,
-    /// then payload fields).
+/// A tag byte in declaration order, then the payload fields. Storage
+/// device indices travel widened to `u64`.
+impl Snap for Ev {
     fn snap(&self, w: &mut SnapWriter) {
         match self {
-            Ev::PeerPump(flow) => {
-                w.u8(0);
-                w.u32(flow.0);
-            }
+            Ev::PeerPump(flow) => (0u8, *flow).snap(w),
             Ev::ToDutDrain => w.u8(1),
-            Ev::NicArrive(pkt) => {
-                w.u8(2);
-                pkt.snap(w);
-            }
+            Ev::NicArrive(pkt) => (2u8, *pkt).snap(w),
             Ev::NicPump => w.u8(3),
-            Ev::RxDmaDone { core, pkt } => {
-                w.u8(4);
-                w.usize(*core);
-                pkt.snap(w);
-            }
-            Ev::NapiPoll(core) => {
-                w.u8(5);
-                w.usize(*core);
-            }
-            Ev::DutPump(flow) => {
-                w.u8(6);
-                w.u32(flow.0);
-            }
+            Ev::RxDmaDone { core, pkt } => (4u8, *core, *pkt).snap(w),
+            Ev::NapiPoll(core) => (5u8, *core).snap(w),
+            Ev::DutPump(flow) => (6u8, *flow).snap(w),
             Ev::TxPump => w.u8(7),
             Ev::TxDmaDone { pkt, pages, core } => {
-                w.u8(8);
-                pkt.snap(w);
-                w.seq(pages.len());
-                for p in pages {
-                    w.u64(p.iova.as_u64());
-                    w.u64(p.pa.as_u64());
-                }
-                w.usize(*core);
+                (8u8, *pkt).snap(w);
+                pages.snap(w);
+                core.snap(w);
             }
             Ev::ToPeerDrain => w.u8(9),
-            Ev::PeerDeliver(pkt) => {
-                w.u8(10);
-                pkt.snap(w);
-            }
-            Ev::RtoCheck { peer, flow } => {
-                w.u8(11);
-                w.bool(*peer);
-                w.u32(flow.0);
-            }
+            Ev::PeerDeliver(pkt) => (10u8, *pkt).snap(w),
+            Ev::RtoCheck { peer, flow } => (11u8, *peer, *flow).snap(w),
             Ev::WarmupDone => w.u8(12),
             Ev::Sample => w.u8(13),
             Ev::WatchdogCheck => w.u8(14),
-            Ev::StorageIssue { dev } => {
-                w.u8(15);
-                w.u64(u64::from(*dev));
-            }
+            Ev::StorageIssue { dev } => (15u8, u64::from(*dev)).snap(w),
             Ev::StorageDone { dev, core, pages } => {
-                w.u8(16);
-                w.u64(u64::from(*dev));
-                w.usize(*core);
-                w.seq(pages.len());
-                for p in pages {
-                    w.u64(p.iova.as_u64());
-                    w.u64(p.pa.as_u64());
-                }
+                (16u8, u64::from(*dev), *core).snap(w);
+                pages.snap(w);
             }
             Ev::IncastKick => w.u8(17),
         }
     }
 
-    /// Rebuilds an event captured by [`Ev::snap`].
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
-            0 => Ev::PeerPump(FlowId(r.u32()?)),
+            0 => Ev::PeerPump(Snap::unsnap(r)?),
             1 => Ev::ToDutDrain,
-            2 => Ev::NicArrive(Packet::unsnap(r)?),
+            2 => Ev::NicArrive(Snap::unsnap(r)?),
             3 => Ev::NicPump,
             4 => Ev::RxDmaDone {
-                core: r.usize()?,
-                pkt: Packet::unsnap(r)?,
+                core: Snap::unsnap(r)?,
+                pkt: Snap::unsnap(r)?,
             },
-            5 => Ev::NapiPoll(r.usize()?),
-            6 => Ev::DutPump(FlowId(r.u32()?)),
+            5 => Ev::NapiPoll(Snap::unsnap(r)?),
+            6 => Ev::DutPump(Snap::unsnap(r)?),
             7 => Ev::TxPump,
-            8 => {
-                let pkt = Packet::unsnap(r)?;
-                let n = r.seq()?;
-                let mut pages = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
-                        pa: PhysAddr::new(r.u64()?),
-                    });
-                }
-                let core = r.usize()?;
-                Ev::TxDmaDone { pkt, pages, core }
-            }
+            8 => Ev::TxDmaDone {
+                pkt: Snap::unsnap(r)?,
+                pages: Snap::unsnap(r)?,
+                core: Snap::unsnap(r)?,
+            },
             9 => Ev::ToPeerDrain,
-            10 => Ev::PeerDeliver(Packet::unsnap(r)?),
+            10 => Ev::PeerDeliver(Snap::unsnap(r)?),
             11 => Ev::RtoCheck {
-                peer: r.bool()?,
-                flow: FlowId(r.u32()?),
+                peer: Snap::unsnap(r)?,
+                flow: Snap::unsnap(r)?,
             },
             12 => Ev::WarmupDone,
             13 => Ev::Sample,
             14 => Ev::WatchdogCheck,
             15 => Ev::StorageIssue {
-                dev: r.u64()? as u16,
+                dev: narrow("storage device", r.u64()?)?,
             },
-            16 => {
-                let dev = r.u64()? as u16;
-                let core = r.usize()?;
-                let n = r.seq()?;
-                let mut pages = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
-                        pa: PhysAddr::new(r.u64()?),
-                    });
-                }
-                Ev::StorageDone { dev, core, pages }
-            }
+            16 => Ev::StorageDone {
+                dev: narrow("storage device", r.u64()?)?,
+                core: Snap::unsnap(r)?,
+                pages: Snap::unsnap(r)?,
+            },
             17 => Ev::IncastKick,
             t => {
                 return Err(SnapError::BadTag {
@@ -276,24 +221,11 @@ struct RingState {
     closed_in_front: usize,
 }
 
-impl RingState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.ring.snap(w);
-        w.opt(&self.open, |w, &(iova, filled)| {
-            w.u64(iova.as_u64());
-            w.u64(filled);
-        });
-        w.usize(self.closed_in_front);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            ring: RxRing::unsnap(r)?,
-            open: r.opt(|r| Ok((Iova::new(r.u64()?), r.u64()?)))?,
-            closed_in_front: r.usize()?,
-        })
-    }
-}
+fns_snap::snap_fields!(RingState {
+    ring,
+    open,
+    closed_in_front
+});
 
 /// Per-core NAPI state.
 #[derive(Default)]
@@ -315,66 +247,41 @@ struct NapiState {
     tx_done: VecDeque<(u16, Vec<DescriptorPage>)>,
 }
 
-impl NapiState {
+/// Flags and received packets, then the completion queues with their
+/// domain tags widened to `u64`.
+impl Snap for NapiState {
     fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.scheduled);
-        w.bool(self.chained);
-        w.seq(self.rx.len());
-        for pkt in &self.rx {
-            pkt.snap(w);
-        }
-        w.seq(self.desc_done.len());
-        for (dom, d) in &self.desc_done {
-            w.u64(u64::from(*dom));
-            d.snap(w);
-        }
-        w.seq(self.tx_done.len());
-        for (dom, pages) in &self.tx_done {
-            w.u64(u64::from(*dom));
-            w.seq(pages.len());
-            for p in pages {
-                w.u64(p.iova.as_u64());
-                w.u64(p.pa.as_u64());
-            }
-        }
+        (self.scheduled, self.chained).snap(w);
+        self.rx.snap(w);
+        snap_domain_tagged(w, &self.desc_done);
+        snap_domain_tagged(w, &self.tx_done);
     }
 
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let scheduled = r.bool()?;
-        let chained = r.bool()?;
-        let n = r.seq()?;
-        let mut rx = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rx.push_back(Packet::unsnap(r)?);
-        }
-        let n = r.seq()?;
-        let mut desc_done = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let dom = r.u64()? as u16;
-            desc_done.push_back((dom, Descriptor::unsnap(r)?));
-        }
-        let n = r.seq()?;
-        let mut tx_done = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let dom = r.u64()? as u16;
-            let m = r.seq()?;
-            let mut pages = Vec::with_capacity(m.min(1 << 16));
-            for _ in 0..m {
-                pages.push(DescriptorPage {
-                    iova: Iova::new(r.u64()?),
-                    pa: PhysAddr::new(r.u64()?),
-                });
-            }
-            tx_done.push_back((dom, pages));
-        }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Self {
-            scheduled,
-            chained,
-            rx,
-            desc_done,
-            tx_done,
+            scheduled: Snap::unsnap(r)?,
+            chained: Snap::unsnap(r)?,
+            rx: Snap::unsnap(r)?,
+            desc_done: unsnap_domain_tagged(r)?,
+            tx_done: unsnap_domain_tagged(r)?,
         })
     }
+}
+
+fn snap_domain_tagged<T: Snap>(w: &mut SnapWriter, queue: &VecDeque<(u16, T)>) {
+    w.seq(queue.len());
+    for (dom, v) in queue {
+        u64::from(*dom).snap(w);
+        v.snap(w);
+    }
+}
+
+fn unsnap_domain_tagged<T: Snap>(r: &mut SnapReader<'_>) -> Result<VecDeque<(u16, T)>, SnapError> {
+    let queue = VecDeque::<(u64, T)>::unsnap(r)?;
+    queue
+        .into_iter()
+        .map(|(dom, v)| Ok((narrow("domain tag", dom)?, v)))
+        .collect()
 }
 
 /// Request/response connection bookkeeping.
@@ -391,39 +298,14 @@ struct RrConn {
     core: usize,
 }
 
-impl RrConn {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.inbound_flow.0);
-        w.u32(self.outbound_flow.0);
-        w.u64(self.next_in_boundary);
-        w.u64(self.next_out_boundary);
-        w.seq(self.issue_times.len());
-        for &t in &self.issue_times {
-            w.u64(t);
-        }
-        w.usize(self.core);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let inbound_flow = FlowId(r.u32()?);
-        let outbound_flow = FlowId(r.u32()?);
-        let next_in_boundary = r.u64()?;
-        let next_out_boundary = r.u64()?;
-        let n = r.seq()?;
-        let mut issue_times = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            issue_times.push_back(r.u64()?);
-        }
-        Ok(Self {
-            inbound_flow,
-            outbound_flow,
-            next_in_boundary,
-            next_out_boundary,
-            issue_times,
-            core: r.usize()?,
-        })
-    }
-}
+fns_snap::snap_fields!(RrConn {
+    inbound_flow,
+    outbound_flow,
+    next_in_boundary,
+    next_out_boundary,
+    issue_times,
+    core,
+});
 
 /// Measurement snapshot taken at warmup end.
 #[derive(Default, Clone)]
@@ -445,50 +327,21 @@ struct Snapshot {
     core_busy: Vec<Nanos>,
 }
 
-impl Snapshot {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.iommu.snap(w);
-        w.seq(self.domains.len());
-        for d in &self.domains {
-            d.snap(w);
-        }
-        w.u64(self.rx_delivered);
-        w.u64(self.tx_delivered);
-        w.u64(self.nic_enq);
-        w.u64(self.nic_drops);
-        w.u64(self.ring_drops);
-        w.u64(self.switch_drops);
-        w.u64(self.tx_pkts);
-        w.u64(self.churned_conns);
-        w.u64(self.storage_ios);
-        w.u64(self.storage_bytes);
-        w.u64_slice(&self.core_busy);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let iommu = fns_iommu::IommuStats::unsnap(r)?;
-        let n = r.seq()?;
-        let mut domains = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            domains.push(fns_iommu::DomainStats::unsnap(r)?);
-        }
-        Ok(Self {
-            iommu,
-            domains,
-            rx_delivered: r.u64()?,
-            tx_delivered: r.u64()?,
-            nic_enq: r.u64()?,
-            nic_drops: r.u64()?,
-            ring_drops: r.u64()?,
-            switch_drops: r.u64()?,
-            tx_pkts: r.u64()?,
-            churned_conns: r.u64()?,
-            storage_ios: r.u64()?,
-            storage_bytes: r.u64()?,
-            core_busy: r.u64_vec()?,
-        })
-    }
-}
+fns_snap::snap_fields!(Snapshot {
+    iommu,
+    domains,
+    rx_delivered,
+    tx_delivered,
+    nic_enq,
+    nic_drops,
+    ring_drops,
+    switch_drops,
+    tx_pkts,
+    churned_conns,
+    storage_ios,
+    storage_bytes,
+    core_busy,
+});
 
 /// Reusable cross-run storage for back-to-back simulations — the *run
 /// arena*. A sweep worker owns one arena and threads it through
@@ -1326,100 +1179,67 @@ impl HostSim {
     /// so both futures are the same by construction.
     pub fn snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u64(config_fingerprint(&self.cfg));
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        config_fingerprint(&self.cfg).snap(&mut w);
+        self.rng.snap(&mut w);
         // Event backlog, in deterministic (time, seq) pop order.
-        let (qnow, popped, seq) = self.q.counters();
+        let counters = self.q.counters();
         let mut events = Vec::with_capacity(self.q.len());
         while let Some(e) = self.q.pop() {
             events.push(e);
         }
-        w.u64(qnow);
-        w.u64(popped);
-        w.u64(seq);
-        w.seq(events.len());
-        for (at, ev) in &events {
-            w.u64(*at);
-            ev.snap(&mut w);
-        }
+        counters.snap(&mut w);
+        events.snap(&mut w);
         let mut q = EventQueue::with_kind(self.q.kind(), 4096);
         q.set_fast_forward(self.cfg.queue_fast_forward);
         for (at, ev) in events {
             q.push(at, ev);
         }
+        let (qnow, popped, seq) = counters;
         q.set_counters(qnow, popped, seq);
         self.q = q;
         self.drv.snap(&mut w);
         self.drv.audit().snap(&mut w);
         self.trace.snap(&mut w);
-        w.seq(self.rings.len());
-        for rs in &self.rings {
-            rs.snap(&mut w);
-        }
-        w.seq(self.nic_bufs.len());
-        for b in &self.nic_bufs {
-            b.snap_with(&mut w, |w, p| p.snap(w));
-        }
-        w.usize(self.nic_rr);
+        self.rings.snap(&mut w);
+        self.nic_bufs.snap(&mut w);
+        self.nic_rr.snap(&mut w);
         self.pipe.snap(&mut w);
         self.tx_pipe.snap(&mut w);
-        w.seq(self.cores.len());
-        for c in &self.cores {
-            c.snap(&mut w);
-        }
-        w.seq(self.napi.len());
-        for n in &self.napi {
-            n.snap(&mut w);
-        }
-        w.u32(self.rx_inflight);
-        w.u32(self.tx_inflight);
-        w.seq(self.tx_queues.len());
-        for queue in &self.tx_queues {
-            w.seq(queue.len());
-            for (pkt, pages) in queue {
-                pkt.snap(&mut w);
-                w.seq(pages.len());
-                for p in pages {
-                    w.u64(p.iova.as_u64());
-                    w.u64(p.pa.as_u64());
-                }
-            }
-        }
-        w.usize(self.tx_rr);
-        self.peer_senders.snap_with(&mut w, |w, s| s.snap(w));
-        self.dut_receivers.snap_with(&mut w, |w, r| r.snap(w));
-        self.dut_senders.snap_with(&mut w, |w, s| s.snap(w));
-        self.peer_receivers.snap_with(&mut w, |w, r| r.snap(w));
-        self.core_of.snap_with(&mut w, |w, &c| w.usize(c));
-        self.churn_next.snap_with(&mut w, |w, &b| w.u64(b));
+        self.cores.snap(&mut w);
+        self.napi.snap(&mut w);
+        self.rx_inflight.snap(&mut w);
+        self.tx_inflight.snap(&mut w);
+        self.tx_queues.snap(&mut w);
+        self.tx_rr.snap(&mut w);
+        self.peer_senders.snap(&mut w);
+        self.dut_receivers.snap(&mut w);
+        self.dut_senders.snap(&mut w);
+        self.peer_receivers.snap(&mut w);
+        self.core_of.snap(&mut w);
+        self.churn_next.snap(&mut w);
         self.to_dut.snap(&mut w);
         self.to_dut_link.snap(&mut w);
-        w.bool(self.to_dut_draining);
+        self.to_dut_draining.snap(&mut w);
         self.to_peer.snap(&mut w);
         self.to_peer_link.snap(&mut w);
-        w.bool(self.to_peer_draining);
-        w.seq(self.rr_conns.len());
-        for conn in &self.rr_conns {
-            conn.snap(&mut w);
-        }
+        self.to_peer_draining.snap(&mut w);
+        self.rr_conns.snap(&mut w);
         self.rto_armed_peer.snap(&mut w);
         self.rto_armed_dut.snap(&mut w);
         self.latency.snap(&mut w);
-        w.u64(self.ring_drops);
-        w.u64(self.tx_pkts_sent);
-        w.u64(self.churned_conns);
-        w.u64(self.storage_ios);
-        w.u64(self.storage_bytes);
-        w.u64(self.mem_epoch_start);
-        w.u64(self.mem_epoch_bytes);
-        w.f64(self.mem_util);
-        w.u64(self.dma_bytes_total);
-        w.u64(self.epoch_dma_mark);
-        w.u64(self.epoch_inv_mark);
+        self.ring_drops.snap(&mut w);
+        self.tx_pkts_sent.snap(&mut w);
+        self.churned_conns.snap(&mut w);
+        self.storage_ios.snap(&mut w);
+        self.storage_bytes.snap(&mut w);
+        self.mem_epoch_start.snap(&mut w);
+        self.mem_epoch_bytes.snap(&mut w);
+        self.mem_util.snap(&mut w);
+        self.dma_bytes_total.snap(&mut w);
+        self.epoch_dma_mark.snap(&mut w);
+        self.epoch_inv_mark.snap(&mut w);
         self.snapshot.snap(&mut w);
-        w.bool(self.warmed_up);
+        self.warmed_up.snap(&mut w);
         self.net_faults.snap(&mut w);
         self.sampler.snap(&mut w);
         self.wd.snap(&mut w);
@@ -1441,166 +1261,82 @@ impl HostSim {
         }
         cfg.iommu.domains = cfg.iommu.domains.max(cfg.topology.domains());
         let mut r = SnapReader::new(bytes)?;
-        if r.u64()? != config_fingerprint(&cfg) {
+        let r = &mut r;
+        if u64::unsnap(r)? != config_fingerprint(&cfg) {
             return Err(SnapError::ConfigMismatch { what: "SimConfig" });
         }
-        let rng = SimRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        let qnow = r.u64()?;
-        let popped = r.u64()?;
-        let seq = r.u64()?;
-        let n = r.seq()?;
+        let rng = SimRng::unsnap(r)?;
+        let (qnow, popped, seq) = Snap::unsnap(r)?;
         let mut q = EventQueue::with_kind(cfg.queue, 4096);
         q.set_fast_forward(cfg.queue_fast_forward);
-        for _ in 0..n {
-            let at = r.u64()?;
-            q.push(at, Ev::unsnap(&mut r)?);
+        for (at, ev) in Vec::<(Nanos, Ev)>::unsnap(r)? {
+            q.push(at, ev);
         }
         q.set_counters(qnow, popped, seq);
-        let mut drv = DmaDriver::unsnap(&mut r, cfg.mode, cfg.cpu, cfg.faults)?;
+        let mut drv = DmaDriver::unsnap(r, cfg.mode, cfg.cpu, cfg.faults)?;
         drv.set_coalesce_inv_drain(cfg.coalesce_inv_drain);
-        drv.set_audit(AuditHandle::unsnap(&mut r)?);
-        let trace = TraceHandle::unsnap(&mut r)?;
-        let n = r.seq()?;
-        let mut rings = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            rings.push(RingState::unsnap(&mut r)?);
-        }
-        let n = r.seq()?;
-        let mut nic_bufs = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            nic_bufs.push(NicBuffer::unsnap_with(&mut r, Packet::unsnap)?);
-        }
-        let nic_rr = r.usize()?;
-        let pipe = SerialResource::unsnap(&mut r)?;
-        let tx_pipe = SerialResource::unsnap(&mut r)?;
-        let n = r.seq()?;
-        let mut cores = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            cores.push(SerialResource::unsnap(&mut r)?);
-        }
-        let n = r.seq()?;
-        let mut napi = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            napi.push(NapiState::unsnap(&mut r)?);
-        }
-        let rx_inflight = r.u32()?;
-        let tx_inflight = r.u32()?;
-        let n = r.seq()?;
-        let mut tx_queues = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let m = r.seq()?;
-            let mut queue = VecDeque::with_capacity(m.min(1 << 16));
-            for _ in 0..m {
-                let pkt = Packet::unsnap(&mut r)?;
-                let k = r.seq()?;
-                let mut pages = Vec::with_capacity(k.min(1 << 16));
-                for _ in 0..k {
-                    pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
-                        pa: PhysAddr::new(r.u64()?),
-                    });
-                }
-                queue.push_back((pkt, pages));
-            }
-            tx_queues.push(queue);
-        }
-        let tx_rr = r.usize()?;
-        let peer_senders = FlowTable::unsnap_with(&mut r, DctcpSender::unsnap)?;
-        let dut_receivers = FlowTable::unsnap_with(&mut r, FlowReceiver::unsnap)?;
-        let dut_senders = FlowTable::unsnap_with(&mut r, DctcpSender::unsnap)?;
-        let peer_receivers = FlowTable::unsnap_with(&mut r, FlowReceiver::unsnap)?;
-        let core_of = FlowTable::unsnap_with(&mut r, |r| r.usize())?;
-        let churn_next = FlowTable::unsnap_with(&mut r, |r| r.u64())?;
-        let to_dut = SwitchQueue::unsnap(&mut r)?;
-        let to_dut_link = SerialResource::unsnap(&mut r)?;
-        let to_dut_draining = r.bool()?;
-        let to_peer = SwitchQueue::unsnap(&mut r)?;
-        let to_peer_link = SerialResource::unsnap(&mut r)?;
-        let to_peer_draining = r.bool()?;
-        let n = r.seq()?;
-        let mut rr_conns = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            rr_conns.push(RrConn::unsnap(&mut r)?);
-        }
-        let rto_armed_peer = FlowSet::unsnap(&mut r)?;
-        let rto_armed_dut = FlowSet::unsnap(&mut r)?;
-        let latency = Histogram::unsnap(&mut r)?;
-        let ring_drops = r.u64()?;
-        let tx_pkts_sent = r.u64()?;
-        let churned_conns = r.u64()?;
-        let storage_ios = r.u64()?;
-        let storage_bytes = r.u64()?;
-        let mem_epoch_start = r.u64()?;
-        let mem_epoch_bytes = r.u64()?;
-        let mem_util = r.f64()?;
-        let dma_bytes_total = r.u64()?;
-        let epoch_dma_mark = r.u64()?;
-        let epoch_inv_mark = r.u64()?;
-        let snapshot = Snapshot::unsnap(&mut r)?;
-        let warmed_up = r.bool()?;
-        let mut net_faults = FaultPlane::unsnap(cfg.faults, &mut r)?;
-        let sampler = Sampler::unsnap(&mut r)?;
-        let wd = WatchdogState::unsnap(&mut r)?;
-        let obs = ObsHandle::unsnap(&mut r)?;
-        r.done()?;
-        // Reattach the shared trace recorder everywhere the original held a
-        // clone (the driver hands its own clone on to its fault plane).
-        drv.set_trace(trace.clone());
-        drv.audit().set_trace(trace.clone());
-        net_faults.set_trace(trace.clone());
-        drv.set_obs(obs.clone());
-        Ok(Self {
+        drv.set_audit(AuditHandle::unsnap(r)?);
+        // Every field below is read in wire order.
+        let mut sim = Self {
+            trace: Snap::unsnap(r)?,
+            rings: Snap::unsnap(r)?,
+            nic_bufs: Snap::unsnap(r)?,
+            nic_rr: Snap::unsnap(r)?,
+            pipe: Snap::unsnap(r)?,
+            tx_pipe: Snap::unsnap(r)?,
+            cores: Snap::unsnap(r)?,
+            napi: Snap::unsnap(r)?,
+            rx_inflight: Snap::unsnap(r)?,
+            tx_inflight: Snap::unsnap(r)?,
+            tx_queues: Snap::unsnap(r)?,
+            tx_rr: Snap::unsnap(r)?,
+            peer_senders: Snap::unsnap(r)?,
+            dut_receivers: Snap::unsnap(r)?,
+            dut_senders: Snap::unsnap(r)?,
+            peer_receivers: Snap::unsnap(r)?,
+            core_of: Snap::unsnap(r)?,
+            churn_next: Snap::unsnap(r)?,
+            to_dut: Snap::unsnap(r)?,
+            to_dut_link: Snap::unsnap(r)?,
+            to_dut_draining: Snap::unsnap(r)?,
+            to_peer: Snap::unsnap(r)?,
+            to_peer_link: Snap::unsnap(r)?,
+            to_peer_draining: Snap::unsnap(r)?,
+            rr_conns: Snap::unsnap(r)?,
+            rto_armed_peer: Snap::unsnap(r)?,
+            rto_armed_dut: Snap::unsnap(r)?,
+            latency: Snap::unsnap(r)?,
+            ring_drops: Snap::unsnap(r)?,
+            tx_pkts_sent: Snap::unsnap(r)?,
+            churned_conns: Snap::unsnap(r)?,
+            storage_ios: Snap::unsnap(r)?,
+            storage_bytes: Snap::unsnap(r)?,
+            mem_epoch_start: Snap::unsnap(r)?,
+            mem_epoch_bytes: Snap::unsnap(r)?,
+            mem_util: Snap::unsnap(r)?,
+            dma_bytes_total: Snap::unsnap(r)?,
+            epoch_dma_mark: Snap::unsnap(r)?,
+            epoch_inv_mark: Snap::unsnap(r)?,
+            snapshot: Snap::unsnap(r)?,
+            warmed_up: Snap::unsnap(r)?,
+            net_faults: FaultPlane::unsnap(cfg.faults, r)?,
+            sampler: Snap::unsnap(r)?,
+            wd: Snap::unsnap(r)?,
+            obs: Snap::unsnap(r)?,
+            scratch: Scratch::default(),
             cfg,
             q,
             rng,
             drv,
-            rings,
-            nic_bufs,
-            nic_rr,
-            pipe,
-            tx_pipe,
-            cores,
-            napi,
-            rx_inflight,
-            tx_inflight,
-            tx_queues,
-            tx_rr,
-            peer_senders,
-            dut_receivers,
-            dut_senders,
-            peer_receivers,
-            core_of,
-            to_dut,
-            to_dut_link,
-            to_dut_draining,
-            to_peer,
-            to_peer_link,
-            to_peer_draining,
-            rr_conns,
-            rto_armed_peer,
-            rto_armed_dut,
-            latency,
-            ring_drops,
-            tx_pkts_sent,
-            churn_next,
-            churned_conns,
-            storage_ios,
-            storage_bytes,
-            mem_epoch_start,
-            mem_epoch_bytes,
-            mem_util,
-            dma_bytes_total,
-            epoch_dma_mark,
-            epoch_inv_mark,
-            snapshot,
-            warmed_up,
-            net_faults,
-            trace,
-            obs,
-            sampler,
-            wd,
-            scratch: Scratch::default(),
-        })
+        };
+        r.done()?;
+        // Reattach the shared trace recorder everywhere the original held a
+        // clone (the driver hands its own clone on to its fault plane).
+        sim.drv.set_trace(sim.trace.clone());
+        sim.drv.audit().set_trace(sim.trace.clone());
+        sim.net_faults.set_trace(sim.trace.clone());
+        sim.drv.set_obs(sim.obs.clone());
+        Ok(sim)
     }
 
     // ----- memory-utilization tracking ------------------------------------
@@ -3139,6 +2875,10 @@ mod tests {
             let mut sim = HostSim::new(cfg);
             sim.step_until(1_200_000); // mid-measurement, past warmup
             let bytes = sim.snapshot();
+            // Every snapshotted type round-trips: restoring and snapshotting
+            // again reproduces the checkpoint byte for byte.
+            let mut restored = HostSim::restore(cfg, &bytes).expect("restore");
+            assert!(restored.snapshot() == bytes, "{mode}: re-snapshot differs");
             let resumed = HostSim::restore(cfg, &bytes).expect("restore").run();
             assert_eq!(golden, resumed, "{mode}: restored run diverged");
             // The snapshotted sim itself must also continue unperturbed.

@@ -88,31 +88,15 @@ pub struct WatchdogReport {
     pub aborted: bool,
 }
 
-impl WatchdogReport {
-    /// Serializes the report for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.bool(self.enabled);
-        w.u64(self.checks);
-        w.u64(self.relief_drains);
-        w.u64(self.storms);
-        w.u64(self.max_backlog_seen);
-        w.bool(self.degraded);
-        w.bool(self.aborted);
-    }
-
-    /// Rebuilds a report captured by [`WatchdogReport::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            enabled: r.bool()?,
-            checks: r.u64()?,
-            relief_drains: r.u64()?,
-            storms: r.u64()?,
-            max_backlog_seen: r.u64()?,
-            degraded: r.bool()?,
-            aborted: r.bool()?,
-        })
-    }
-}
+fns_snap::snap_fields!(WatchdogReport {
+    enabled,
+    checks,
+    relief_drains,
+    storms,
+    max_backlog_seen,
+    degraded,
+    aborted,
+});
 
 /// Live watchdog state inside the simulation.
 #[derive(Debug, Clone, Default)]
@@ -125,21 +109,11 @@ pub(crate) struct WatchdogState {
     pub report: WatchdogReport,
 }
 
-impl WatchdogState {
-    pub(crate) fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.prev_invalidations);
-        w.u32(self.consecutive_degraded);
-        self.report.snap(w);
-    }
-
-    pub(crate) fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            prev_invalidations: r.u64()?,
-            consecutive_degraded: r.u32()?,
-            report: WatchdogReport::unsnap(r)?,
-        })
-    }
-}
+fns_snap::snap_fields!(WatchdogState {
+    prev_invalidations,
+    consecutive_degraded,
+    report
+});
 
 #[cfg(test)]
 mod tests {
@@ -154,6 +128,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips() {
+        use fns_snap::Snap;
         let rep = WatchdogReport {
             enabled: true,
             checks: 7,

@@ -21,6 +21,7 @@
 //!   see [`fault_log_from`].
 
 use fns_sim::rng::SimRng;
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fns_trace::{Trace, TraceData, TraceHandle};
 
 /// The kinds of fault the plane can inject, one per injection site class.
@@ -194,6 +195,16 @@ pub struct FaultStats {
     /// Stale-DMA probes that *translated* — a safety violation.
     pub stale_dma_leaked: u64,
 }
+
+fns_snap::snap_fields!(FaultStats {
+    injected,
+    recovered,
+    invalidation_retries,
+    batch_fallbacks,
+    descriptor_recycles,
+    stale_dma_blocked,
+    stale_dma_leaked,
+});
 
 impl FaultStats {
     /// Injected count for one kind.
@@ -380,59 +391,22 @@ impl FaultPlane {
     /// counters, stats) for checkpointing. The config and trace handle are
     /// *not* captured: restore supplies them from the run configuration, so
     /// a snapshot stays valid across trace-sink reattachment.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        for v in self.visits {
-            w.u64(v);
-        }
-        for v in self.stats.injected {
-            w.u64(v);
-        }
-        for v in self.stats.recovered {
-            w.u64(v);
-        }
-        w.u64(self.stats.invalidation_retries);
-        w.u64(self.stats.batch_fallbacks);
-        w.u64(self.stats.descriptor_recycles);
-        w.u64(self.stats.stale_dma_blocked);
-        w.u64(self.stats.stale_dma_leaked);
+    pub fn snap(&self, w: &mut SnapWriter) {
+        self.rng.snap(w);
+        self.visits.snap(w);
+        self.stats.snap(w);
     }
 
     /// Rebuilds a plane captured by [`FaultPlane::snap`], reattaching the
     /// caller's config (the trace sink is attached separately via
     /// [`FaultPlane::set_trace`]).
-    pub fn unsnap(
-        cfg: FaultConfig,
-        r: &mut fns_snap::SnapReader,
-    ) -> Result<Self, fns_snap::SnapError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.u64()?;
-        }
-        let mut visits = [0u64; FaultKind::COUNT];
-        for v in &mut visits {
-            *v = r.u64()?;
-        }
-        let mut stats = FaultStats::default();
-        for v in &mut stats.injected {
-            *v = r.u64()?;
-        }
-        for v in &mut stats.recovered {
-            *v = r.u64()?;
-        }
-        stats.invalidation_retries = r.u64()?;
-        stats.batch_fallbacks = r.u64()?;
-        stats.descriptor_recycles = r.u64()?;
-        stats.stale_dma_blocked = r.u64()?;
-        stats.stale_dma_leaked = r.u64()?;
+    pub fn unsnap(cfg: FaultConfig, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Self {
             enabled: cfg.any_enabled(),
             cfg,
-            rng: SimRng::from_state(state),
-            visits,
-            stats,
+            rng: Snap::unsnap(r)?,
+            visits: Snap::unsnap(r)?,
+            stats: Snap::unsnap(r)?,
             trace: TraceHandle::default(),
         })
     }

@@ -43,6 +43,21 @@ pub struct IommuConfig {
     pub domains: u16,
 }
 
+// The domain ID travels widened to `u64`. The domain count is not written
+// here: [`crate::iommu::Iommu`]'s encoding carries it after the counters.
+fns_snap::snap_fields!(IommuConfig {
+    iotlb_entries,
+    iotlb_huge_entries,
+    ptcache_l1_entries,
+    ptcache_l2_entries,
+    ptcache_l3_entries,
+    iotlb_assoc,
+    verify_safety,
+    domain as u64,
+} restore_with {
+    domains: 1,
+});
+
 impl Default for IommuConfig {
     fn default() -> Self {
         Self {

@@ -25,6 +25,9 @@ pub struct InvalidationRequest {
     pub domain: u16,
 }
 
+// The domain travels widened to `u64`.
+fns_snap::snap_fields!(InvalidationRequest { range, scope, domain as u64 });
+
 /// Cost model of the hardware invalidation queue.
 ///
 /// A batch submitted together pays one synchronization wait plus a

@@ -23,6 +23,7 @@
 
 use fns_iova::types::{Iova, IovaRange};
 use fns_mem::addr::PhysAddr;
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::IommuConfig;
 use crate::iotlb::{HugeTlbEntry, Iotlb, TlbEntry};
@@ -66,6 +67,25 @@ pub enum InvalidationScope {
     IotlbAndLeafPtcache,
     /// Invalidate the IOTLB and every covering PTcache-L1/L2/L3 entry.
     IotlbAndFullPtcache,
+}
+
+/// A tag byte in declaration order.
+impl Snap for InvalidationScope {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u8(*self as u8);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(InvalidationScope::IotlbOnly),
+            1 => Ok(InvalidationScope::IotlbAndLeafPtcache),
+            2 => Ok(InvalidationScope::IotlbAndFullPtcache),
+            t => Err(SnapError::BadTag {
+                what: "invalidation scope",
+                tag: t as u64,
+            }),
+        }
+    }
 }
 
 /// Result of one address translation.
@@ -730,144 +750,6 @@ impl Iommu {
         self.stats.invalidation_queue_entries += n;
     }
 
-    /// Serializes the full IOMMU state for checkpointing: page tables
-    /// (physically — cached [`PageRef`]s must keep resolving identically),
-    /// both IOTLB arrays and the three PTcaches (logically, in recency
-    /// order), the hardware config, and counters (global + per-domain).
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        let pref = |w: &mut fns_snap::SnapWriter, v: &PageRef| {
-            let (idx, generation) = v.parts();
-            w.u32(idx);
-            w.u32(generation);
-        };
-        self.pts[0].snap(w);
-        self.iotlb.snap(w);
-        let huge = |w: &mut fns_snap::SnapWriter, v: &HugeTlbEntry| {
-            w.u64(v.base.as_u64());
-            let (idx, generation) = v.l3.parts();
-            w.u32(idx);
-            w.u32(generation);
-        };
-        self.iotlb_huge.snap_with(w, huge);
-        self.ptc_l1.snap_with(w, pref);
-        self.ptc_l2.snap_with(w, pref);
-        self.ptc_l3.snap_with(w, pref);
-        w.usize(self.config.iotlb_entries);
-        w.usize(self.config.iotlb_huge_entries);
-        w.usize(self.config.ptcache_l1_entries);
-        w.usize(self.config.ptcache_l2_entries);
-        w.usize(self.config.ptcache_l3_entries);
-        w.opt(&self.config.iotlb_assoc, |w, v| w.usize(*v));
-        w.bool(self.config.verify_safety);
-        w.u64(self.config.domain as u64);
-        let s = &self.stats;
-        for v in [
-            s.translations,
-            s.iotlb_hits,
-            s.iotlb_misses,
-            s.ptcache_l3_misses,
-            s.ptcache_l2_misses,
-            s.ptcache_l1_misses,
-            s.memory_reads,
-            s.faults,
-            s.stale_iotlb_hits,
-            s.stale_ptcache_walks,
-            s.iotlb_invalidations,
-            s.ptcache_invalidations,
-            s.invalidation_queue_entries,
-        ] {
-            w.u64(v);
-        }
-        // Multi-domain extension rides after the legacy layout: domain
-        // count, then the page tables and counter slices of domains 1..N.
-        w.u64(self.pts.len() as u64);
-        for pt in &self.pts[1..] {
-            pt.snap(w);
-        }
-        for ds in &self.dstats {
-            ds.snap(w);
-        }
-    }
-
-    /// Rebuilds an IOMMU captured by [`Iommu::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let pref = |r: &mut fns_snap::SnapReader| {
-            let idx = r.u32()?;
-            let generation = r.u32()?;
-            Ok(PageRef::from_parts(idx, generation))
-        };
-        let pt0 = IoPageTable::unsnap(r)?;
-        let iotlb = Iotlb::unsnap(r)?;
-        let huge = |r: &mut fns_snap::SnapReader| {
-            let base = PhysAddr::new(r.u64()?);
-            let idx = r.u32()?;
-            let generation = r.u32()?;
-            Ok(HugeTlbEntry {
-                base,
-                l3: PageRef::from_parts(idx, generation),
-            })
-        };
-        let iotlb_huge = Lru64::unsnap_with(r, huge)?;
-        let ptc_l1 = Lru64::unsnap_with(r, pref)?;
-        let ptc_l2 = Lru64::unsnap_with(r, pref)?;
-        let ptc_l3 = Lru64::unsnap_with(r, pref)?;
-        let iotlb_entries = r.usize()?;
-        let iotlb_huge_entries = r.usize()?;
-        let ptcache_l1_entries = r.usize()?;
-        let ptcache_l2_entries = r.usize()?;
-        let ptcache_l3_entries = r.usize()?;
-        let iotlb_assoc = r.opt(|r| r.usize())?;
-        let verify_safety = r.bool()?;
-        let domain = r.u64()? as u16;
-        let stats = IommuStats {
-            translations: r.u64()?,
-            iotlb_hits: r.u64()?,
-            iotlb_misses: r.u64()?,
-            ptcache_l3_misses: r.u64()?,
-            ptcache_l2_misses: r.u64()?,
-            ptcache_l1_misses: r.u64()?,
-            memory_reads: r.u64()?,
-            faults: r.u64()?,
-            stale_iotlb_hits: r.u64()?,
-            stale_ptcache_walks: r.u64()?,
-            iotlb_invalidations: r.u64()?,
-            ptcache_invalidations: r.u64()?,
-            invalidation_queue_entries: r.u64()?,
-        };
-        let domains = r.u64()? as usize;
-        let mut pts = Vec::with_capacity(domains);
-        pts.push(pt0);
-        for _ in 1..domains {
-            pts.push(IoPageTable::unsnap(r)?);
-        }
-        let mut dstats = Vec::with_capacity(domains);
-        for _ in 0..domains {
-            dstats.push(DomainStats::unsnap(r)?);
-        }
-        let config = IommuConfig {
-            iotlb_entries,
-            iotlb_huge_entries,
-            ptcache_l1_entries,
-            ptcache_l2_entries,
-            ptcache_l3_entries,
-            iotlb_assoc,
-            verify_safety,
-            domain,
-            domains: domains as u16,
-        };
-        Ok(Self {
-            pts,
-            iotlb,
-            iotlb_huge,
-            ptc_l1,
-            ptc_l2,
-            ptc_l3,
-            config,
-            stats,
-            dstats,
-        })
-    }
-
     /// Protection-domain ID this unit serves (registry/tenant key).
     pub fn domain_id(&self) -> u16 {
         self.config.domain
@@ -881,6 +763,67 @@ impl Iommu {
     /// Current PTcache occupancies `(l1, l2, l3)` (test/inspection helper).
     pub fn ptcache_lens(&self) -> (usize, usize, usize) {
         (self.ptc_l1.len(), self.ptc_l2.len(), self.ptc_l3.len())
+    }
+}
+
+/// The full IOMMU state: page tables (physically — cached [`PageRef`]s must
+/// keep resolving identically), both IOTLB arrays and the three PTcaches
+/// (logically, in recency order), the hardware config, and counters. The
+/// multi-domain extension rides after the single-domain layout: the domain
+/// count, then the page tables of domains 1.. and every domain's counters.
+impl Snap for Iommu {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.pts[0].snap(w);
+        self.iotlb.snap(w);
+        self.iotlb_huge.snap(w);
+        self.ptc_l1.snap(w);
+        self.ptc_l2.snap(w);
+        self.ptc_l3.snap(w);
+        self.config.snap(w);
+        self.stats.snap(w);
+        (self.pts.len() as u64).snap(w);
+        for pt in &self.pts[1..] {
+            pt.snap(w);
+        }
+        for ds in &self.dstats {
+            ds.snap(w);
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let pt0 = IoPageTable::unsnap(r)?;
+        let iotlb = Snap::unsnap(r)?;
+        let iotlb_huge = Snap::unsnap(r)?;
+        let ptc_l1 = Snap::unsnap(r)?;
+        let ptc_l2 = Snap::unsnap(r)?;
+        let ptc_l3 = Snap::unsnap(r)?;
+        let mut config = IommuConfig::unsnap(r)?;
+        let stats = Snap::unsnap(r)?;
+        let domains = u64::unsnap(r)?;
+        if domains == 0 || domains > u64::from(u16::MAX) {
+            return Err(SnapError::BadCapacity {
+                what: "iommu domain count",
+                capacity: domains,
+            });
+        }
+        config.domains = domains as u16;
+        let pts = std::iter::once(Ok(pt0))
+            .chain((1..domains).map(|_| IoPageTable::unsnap(r)))
+            .collect::<Result<_, _>>()?;
+        let dstats = (0..domains)
+            .map(|_| DomainStats::unsnap(r))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            pts,
+            iotlb,
+            iotlb_huge,
+            ptc_l1,
+            ptc_l2,
+            ptc_l3,
+            config,
+            stats,
+            dstats,
+        })
     }
 }
 

@@ -8,6 +8,7 @@
 //! reproducing the paper) and the `sweeps` harness can flip it.
 
 use fns_mem::addr::PhysAddr;
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::lru64::Lru64;
 use crate::pagetable::PageRef;
@@ -26,6 +27,8 @@ pub struct TlbEntry {
     pub l4: PageRef,
 }
 
+snap_fields!(TlbEntry { pa, l4 });
+
 /// A huge-page (2 MB) IOTLB entry: the physical base plus the PT-L3 page
 /// holding the huge leaf, for the same one-read staleness check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +38,8 @@ pub struct HugeTlbEntry {
     /// The PT-L3 page the huge leaf was read from.
     pub l3: PageRef,
 }
+
+snap_fields!(HugeTlbEntry { base, l3 });
 
 /// An IOTLB holding 4 KB translations (pfn -> [`TlbEntry`]).
 ///
@@ -183,53 +188,30 @@ impl Iotlb {
             Iotlb::SetAssoc { sets } => sets.iter_mut().for_each(Lru64::clear),
         }
     }
+}
 
-    /// Serializes the IOTLB (organization tag plus each LRU array's logical
-    /// content) for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        let entry = |w: &mut fns_snap::SnapWriter, v: &TlbEntry| {
-            w.u64(v.pa.as_u64());
-            let (idx, generation) = v.l4.parts();
-            w.u32(idx);
-            w.u32(generation);
-        };
+/// The organization tag, then each LRU array's logical content.
+impl Snap for Iotlb {
+    fn snap(&self, w: &mut SnapWriter) {
         match self {
             Iotlb::FullAssoc(c) => {
                 w.u8(0);
-                c.snap_with(w, entry);
+                c.snap(w);
             }
             Iotlb::SetAssoc { sets } => {
                 w.u8(1);
-                w.seq(sets.len());
-                for s in sets {
-                    s.snap_with(w, entry);
-                }
+                sets.snap(w);
             }
         }
     }
 
-    /// Rebuilds an IOTLB captured by [`Iotlb::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let entry = |r: &mut fns_snap::SnapReader| {
-            let pa = PhysAddr::new(r.u64()?);
-            let idx = r.u32()?;
-            let generation = r.u32()?;
-            Ok(TlbEntry {
-                pa,
-                l4: PageRef::from_parts(idx, generation),
-            })
-        };
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.u8()? {
-            0 => Ok(Iotlb::FullAssoc(Lru64::unsnap_with(r, entry)?)),
-            1 => {
-                let n = r.seq()?;
-                let mut sets = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    sets.push(Lru64::unsnap_with(r, entry)?);
-                }
-                Ok(Iotlb::SetAssoc { sets })
-            }
-            t => Err(fns_snap::SnapError::BadTag {
+            0 => Ok(Iotlb::FullAssoc(Snap::unsnap(r)?)),
+            1 => Ok(Iotlb::SetAssoc {
+                sets: Snap::unsnap(r)?,
+            }),
+            t => Err(SnapError::BadTag {
                 what: "iotlb organization",
                 tag: t as u64,
             }),

@@ -1,8 +1,8 @@
 //! A specialized O(1) LRU cache for packed `u64` keys.
 //!
-//! Drop-in hot-path replacement for [`crate::lru::LruCache`] in the IOTLB
-//! and PTcache roles, where every key is a pfn or region key that already
-//! fits in a `u64`. Three things make it faster than the generic cache:
+//! The IOTLB and PTcache LRU, where every key is a pfn or region key that
+//! already fits in a `u64`. Three things make it faster than a generic
+//! hash-map LRU (the reference model in `tests/common/lru.rs`):
 //!
 //! * **Open-addressed index** — a power-of-two table of arena indices with
 //!   linear probing and backward-shift deletion, instead of a `HashMap`
@@ -15,9 +15,10 @@
 //!   key cloning on insert or touch; evicted slots recycle through a free
 //!   list so steady-state insert/evict churn performs zero allocations.
 //!
-//! Eviction order is exactly the generic cache's LRU order for the same
-//! operation sequence (asserted by `tests/lru_equivalence.rs`), so swapping
-//! it into the IOMMU changes no simulated counter.
+//! Eviction order is exactly the reference cache's LRU order for the same
+//! operation sequence (asserted by `tests/lru_equivalence.rs`).
+
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 const NIL: u32 = u32::MAX;
 /// Empty marker in the open-addressed table.
@@ -293,41 +294,38 @@ impl<V: Copy> Lru64<V> {
         }
         out
     }
+}
 
-    /// Serializes the cache *logically*: capacity plus the `(key, value)`
-    /// pairs in MRU-to-LRU order, with `f` encoding each value. The
-    /// open-addressed table layout and arena slot assignment are not
-    /// captured — every observable behaviour (get/peek/insert/evict order)
-    /// depends only on the recency list, which is reproduced exactly.
-    pub fn snap_with(
-        &self,
-        w: &mut fns_snap::SnapWriter,
-        mut f: impl FnMut(&mut fns_snap::SnapWriter, &V),
-    ) {
-        w.usize(self.capacity);
+/// Largest capacity a restored cache may claim: 16x the largest simulated
+/// IOTLB (`tests/chaos.rs` runs 2^16 entries). The bound keeps a corrupt
+/// capacity from sizing a `2 * capacity` table.
+const MAX_SNAP_CAPACITY: usize = 1 << 20;
+
+/// The cache *logically*: capacity plus the `(key, value)` pairs in
+/// MRU-to-LRU order. The open-addressed table layout and arena slot
+/// assignment are not captured — every observable behaviour (get/peek/
+/// insert/evict order) depends only on the recency list, which a restore
+/// reproduces by inserting LRU-first.
+impl<V: Copy + Snap> Snap for Lru64<V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.capacity.snap(w);
         w.seq(self.len);
         let mut cur = self.head;
         while cur != NIL {
             let n = &self.arena[cur as usize];
-            w.u64(n.key);
-            f(w, &n.value);
+            (n.key, n.value).snap(w);
             cur = n.next;
         }
     }
 
-    /// Rebuilds a cache captured by [`Lru64::snap_with`], with `f` decoding
-    /// each value. Entries are inserted LRU-first so the restored recency
-    /// order matches the snapshot.
-    pub fn unsnap_with(
-        r: &mut fns_snap::SnapReader,
-        mut f: impl FnMut(&mut fns_snap::SnapReader) -> Result<V, fns_snap::SnapError>,
-    ) -> Result<Self, fns_snap::SnapError> {
-        let capacity = r.usize()?;
-        let n = r.seq()?;
-        let mut pairs = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let key = r.u64()?;
-            pairs.push((key, f(r)?));
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let capacity = usize::unsnap(r)?;
+        let pairs = Vec::<(u64, V)>::unsnap(r)?;
+        if capacity == 0 || capacity > MAX_SNAP_CAPACITY || pairs.len() > capacity {
+            return Err(SnapError::BadCapacity {
+                what: "lru64",
+                capacity: capacity as u64,
+            });
         }
         let mut cache = Lru64::new(capacity);
         for (key, value) in pairs.into_iter().rev() {

@@ -17,6 +17,7 @@
 
 use fns_iova::types::{Iova, IovaRange};
 use fns_mem::addr::PhysAddr;
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Entries per page-table page (9 bits of index).
 pub const ENTRIES_PER_PAGE: usize = 512;
@@ -39,15 +40,14 @@ pub struct PageRef {
     generation: u32,
 }
 
-impl PageRef {
-    /// Raw `(idx, generation)` parts, for the crate's snapshot code: the
-    /// PTcache snapshots in [`crate::iommu`] must serialize cached refs
-    /// verbatim so they resolve (or go stale) identically after a restore.
-    pub(crate) fn parts(self) -> (u32, u32) {
-        (self.idx, self.generation)
-    }
+// Cached refs travel verbatim so they resolve (or go stale) identically
+// after a restore.
+fns_snap::snap_fields!(PageRef { idx, generation });
 
-    /// Rebuilds a ref captured by [`PageRef::parts`].
+impl PageRef {
+    /// A ref to slot `idx` at `generation`, for tests that need a
+    /// placeholder ref.
+    #[cfg(test)]
     pub(crate) fn from_parts(idx: u32, generation: u32) -> Self {
         Self { idx, generation }
     }
@@ -63,6 +63,31 @@ enum PtEntry {
     /// 2 MB huge-page leaf, valid only in PT-L3 pages (VT-d second-level
     /// superpage). The address is the 2 MB-aligned physical base.
     HugeLeaf(PhysAddr),
+}
+
+/// A tag byte in declaration order, then the payload.
+impl Snap for PtEntry {
+    fn snap(&self, w: &mut SnapWriter) {
+        match *self {
+            PtEntry::Child(r) => (0u8, r).snap(w),
+            PtEntry::Leaf(pa) => (1u8, pa).snap(w),
+            PtEntry::HugeLeaf(pa) => (2u8, pa).snap(w),
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => PtEntry::Child(Snap::unsnap(r)?),
+            1 => PtEntry::Leaf(Snap::unsnap(r)?),
+            2 => PtEntry::HugeLeaf(Snap::unsnap(r)?),
+            t => {
+                return Err(SnapError::BadTag {
+                    what: "pt entry",
+                    tag: t as u64,
+                })
+            }
+        })
+    }
 }
 
 /// A single page-table page.
@@ -103,6 +128,35 @@ struct Slot {
     generation: u32,
     page: Option<PtPage>,
 }
+
+/// Level and live count, then the populated entries as `(index, entry)`
+/// pairs.
+impl Snap for PtPage {
+    fn snap(&self, w: &mut SnapWriter) {
+        (self.level, self.live).snap(w);
+        let populated: Vec<(u32, PtEntry)> = (0u32..)
+            .zip(&self.entries)
+            .filter_map(|(i, e)| e.map(|e| (i, e)))
+            .collect();
+        populated.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (level, live) = Snap::unsnap(r)?;
+        let mut page = PtPage::new(level);
+        page.live = live;
+        for (i, e) in Vec::<(u32, PtEntry)>::unsnap(r)? {
+            let slot = page.entries.get_mut(i as usize).ok_or(SnapError::BadTag {
+                what: "pt entry index",
+                tag: i as u64,
+            })?;
+            *slot = Some(e);
+        }
+        Ok(page)
+    }
+}
+
+fns_snap::snap_fields!(Slot { generation, page });
 
 /// Result of resolving a cached [`PageRef`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,6 +249,13 @@ pub struct PtStats {
     pub pages_reclaimed: u64,
 }
 
+fns_snap::snap_fields!(PtStats {
+    maps,
+    unmaps,
+    pages_allocated,
+    pages_reclaimed
+});
+
 /// The 4-level IO page table.
 ///
 /// # Examples
@@ -232,6 +293,16 @@ pub struct IoPageTable {
     root: PageRef,
     stats: PtStats,
 }
+
+// The table travels *physically*: every slot (generation plus page
+// contents), the free list, root ref and counters verbatim, because cached
+// [`PageRef`]s in the PTcaches index slots by position and generation — a
+// logically rebuilt table would invalidate them. The entries pool and the
+// walk cache are derived storage and come back empty.
+fns_snap::snap_fields!(IoPageTable { slots, free, root, stats } restore_with {
+    entries_pool: Vec::new(),
+    l4_cache: Box::new([None; L4_CACHE_SLOTS]),
+});
 
 impl Default for IoPageTable {
     fn default() -> Self {
@@ -317,123 +388,6 @@ impl IoPageTable {
         slot.generation += 1;
         self.free.push(r.idx as usize);
         self.stats.pages_reclaimed += 1;
-    }
-
-    /// Serializes the page table *physically*: every slot (generation plus
-    /// page contents), the free list, root ref, and counters travel
-    /// verbatim, because cached [`PageRef`]s in the PTcaches index slots by
-    /// position and generation — a logically rebuilt table would invalidate
-    /// them. The `entries_pool` is deliberately dropped: pooled vectors are
-    /// all-`None` and only avoid heap churn, so restoring without them is
-    /// behaviorally identical.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.seq(self.slots.len());
-        for slot in &self.slots {
-            w.u32(slot.generation);
-            w.opt(&slot.page, |w, page| {
-                w.u8(page.level);
-                w.u16(page.live);
-                let populated = page.entries.iter().filter(|e| e.is_some()).count();
-                w.seq(populated);
-                for (i, e) in page.entries.iter().enumerate() {
-                    if let Some(e) = e {
-                        w.u32(i as u32);
-                        match e {
-                            PtEntry::Child(r) => {
-                                w.u8(0);
-                                w.u32(r.idx);
-                                w.u32(r.generation);
-                            }
-                            PtEntry::Leaf(pa) => {
-                                w.u8(1);
-                                w.u64(pa.as_u64());
-                            }
-                            PtEntry::HugeLeaf(pa) => {
-                                w.u8(2);
-                                w.u64(pa.as_u64());
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        w.seq(self.free.len());
-        for &idx in &self.free {
-            w.usize(idx);
-        }
-        w.u32(self.root.idx);
-        w.u32(self.root.generation);
-        w.u64(self.stats.maps);
-        w.u64(self.stats.unmaps);
-        w.u64(self.stats.pages_allocated);
-        w.u64(self.stats.pages_reclaimed);
-    }
-
-    /// Rebuilds a page table captured by [`IoPageTable::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        use fns_snap::SnapError;
-        let n_slots = r.seq()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 20));
-        for _ in 0..n_slots {
-            let generation = r.u32()?;
-            let page = r.opt(|r| {
-                let level = r.u8()?;
-                let live = r.u16()?;
-                let populated = r.seq()?;
-                let mut entries = vec![None; ENTRIES_PER_PAGE];
-                for _ in 0..populated {
-                    let i = r.u32()? as usize;
-                    if i >= ENTRIES_PER_PAGE {
-                        return Err(SnapError::BadTag {
-                            what: "pt entry index",
-                            tag: i as u64,
-                        });
-                    }
-                    let tag = r.u8()?;
-                    entries[i] = Some(match tag {
-                        0 => PtEntry::Child(PageRef {
-                            idx: r.u32()?,
-                            generation: r.u32()?,
-                        }),
-                        1 => PtEntry::Leaf(PhysAddr::new(r.u64()?)),
-                        2 => PtEntry::HugeLeaf(PhysAddr::new(r.u64()?)),
-                        t => {
-                            return Err(SnapError::BadTag {
-                                what: "pt entry",
-                                tag: t as u64,
-                            })
-                        }
-                    });
-                }
-                Ok(PtPage {
-                    level,
-                    entries,
-                    live,
-                })
-            })?;
-            slots.push(Slot { generation, page });
-        }
-        let n_free = r.seq()?;
-        let mut free = Vec::with_capacity(n_free.min(1 << 20));
-        for _ in 0..n_free {
-            free.push(r.usize()?);
-        }
-        Ok(Self {
-            slots,
-            free,
-            entries_pool: Vec::new(),
-            l4_cache: Box::new([None; L4_CACHE_SLOTS]),
-            root: PageRef {
-                idx: r.u32()?,
-                generation: r.u32()?,
-            },
-            stats: PtStats {
-                maps: r.u64()?,
-                unmaps: r.u64()?,
-                pages_allocated: r.u64()?,
-                pages_reclaimed: r.u64()?,
-            },
-        })
     }
 
     /// Checks whether a cached ref still points at a live page.
@@ -1034,10 +988,7 @@ mod tests {
         // ref into the new region's page.
         let far = 400;
         pt.map(page(far, 0), pa(9000)).unwrap();
-        assert_eq!(
-            pt.walk_path(page(far, 0)).unwrap().l4.parts().0,
-            stale.parts().0
-        );
+        assert_eq!(pt.walk_path(page(far, 0)).unwrap().l4.idx, stale.idx);
         pt.map(page(100, 0), pa(9100)).unwrap();
         assert_eq!(pt.lookup(page(far, 0)), Some(pa(9000)));
         assert_eq!(pt.lookup(page(100, 0)), Some(pa(9100)));

@@ -40,6 +40,22 @@ pub struct IommuStats {
     pub invalidation_queue_entries: u64,
 }
 
+fns_snap::snap_fields!(IommuStats {
+    translations,
+    iotlb_hits,
+    iotlb_misses,
+    ptcache_l3_misses,
+    ptcache_l2_misses,
+    ptcache_l1_misses,
+    memory_reads,
+    faults,
+    stale_iotlb_hits,
+    stale_ptcache_walks,
+    iotlb_invalidations,
+    ptcache_invalidations,
+    invalidation_queue_entries,
+});
+
 /// Per-protection-domain slice of the translation counters. Multi-device
 /// topologies key one of these per domain so tenant-level pressure (and
 /// tenant-level stale hits — the isolation signal) stays attributable
@@ -59,6 +75,13 @@ pub struct DomainStats {
     pub faults: u64,
 }
 
+fns_snap::snap_fields!(DomainStats {
+    translations,
+    iotlb_hits,
+    stale_iotlb_hits,
+    faults
+});
+
 impl DomainStats {
     /// Difference of two snapshots (`self` after, `earlier` before).
     pub fn delta(&self, earlier: &DomainStats) -> DomainStats {
@@ -76,24 +99,6 @@ impl DomainStats {
         self.iotlb_hits += other.iotlb_hits;
         self.stale_iotlb_hits += other.stale_iotlb_hits;
         self.faults += other.faults;
-    }
-
-    /// Serializes the counters in declaration order for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.translations);
-        w.u64(self.iotlb_hits);
-        w.u64(self.stale_iotlb_hits);
-        w.u64(self.faults);
-    }
-
-    /// Rebuilds counters captured by [`DomainStats::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            translations: r.u64()?,
-            iotlb_hits: r.u64()?,
-            stale_iotlb_hits: r.u64()?,
-            faults: r.u64()?,
-        })
     }
 }
 
@@ -142,42 +147,6 @@ impl IommuStats {
         self.iotlb_invalidations += other.iotlb_invalidations;
         self.ptcache_invalidations += other.ptcache_invalidations;
         self.invalidation_queue_entries += other.invalidation_queue_entries;
-    }
-
-    /// Serializes the counters in declaration order for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.translations);
-        w.u64(self.iotlb_hits);
-        w.u64(self.iotlb_misses);
-        w.u64(self.ptcache_l3_misses);
-        w.u64(self.ptcache_l2_misses);
-        w.u64(self.ptcache_l1_misses);
-        w.u64(self.memory_reads);
-        w.u64(self.faults);
-        w.u64(self.stale_iotlb_hits);
-        w.u64(self.stale_ptcache_walks);
-        w.u64(self.iotlb_invalidations);
-        w.u64(self.ptcache_invalidations);
-        w.u64(self.invalidation_queue_entries);
-    }
-
-    /// Rebuilds counters captured by [`IommuStats::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            translations: r.u64()?,
-            iotlb_hits: r.u64()?,
-            iotlb_misses: r.u64()?,
-            ptcache_l3_misses: r.u64()?,
-            ptcache_l2_misses: r.u64()?,
-            ptcache_l1_misses: r.u64()?,
-            memory_reads: r.u64()?,
-            faults: r.u64()?,
-            stale_iotlb_hits: r.u64()?,
-            stale_ptcache_walks: r.u64()?,
-            iotlb_invalidations: r.u64()?,
-            ptcache_invalidations: r.u64()?,
-            invalidation_queue_entries: r.u64()?,
-        })
     }
 }
 

@@ -4,9 +4,12 @@
 //! guarantee that swapping it into the IOTLB/PTcaches changes no simulated
 //! counter anywhere in the workspace.
 
-use fns_iommu::lru::LruCache;
+#[path = "common/lru.rs"]
+mod lru;
+
 use fns_iommu::lru64::Lru64;
 use fns_sim::rng::SimRng;
+use lru::LruCache;
 
 /// Drives both caches through an identical randomized op stream and checks
 /// every return value and the full recency order after each step.

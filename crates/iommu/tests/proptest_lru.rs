@@ -6,7 +6,10 @@
 
 use proptest::prelude::*;
 
-use fns_iommu::lru::LruCache;
+#[path = "common/lru.rs"]
+mod lru;
+
+use lru::LruCache;
 
 /// Naive reference: a vector ordered most-recently-used first.
 struct NaiveLru {

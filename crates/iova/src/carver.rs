@@ -8,8 +8,6 @@
 //! once every carved page has been unmapped. [`ChunkCarver`] is that
 //! bookkeeping.
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
-
 use crate::types::{Iova, IovaRange};
 
 /// Sequential carver over one contiguous IOVA chunk.
@@ -39,6 +37,12 @@ pub struct ChunkCarver {
     next: u64,
     unmapped: u64,
 }
+
+fns_snap::snap_fields!(ChunkCarver {
+    range,
+    next,
+    unmapped
+});
 
 impl ChunkCarver {
     /// Wraps a freshly allocated chunk.
@@ -96,25 +100,6 @@ impl ChunkCarver {
     /// Pages unmapped so far.
     pub fn unmapped(&self) -> u64 {
         self.unmapped
-    }
-
-    /// Serializes the carver for checkpointing.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.range.base().as_u64());
-        w.u64(self.range.pages());
-        w.u64(self.next);
-        w.u64(self.unmapped);
-    }
-
-    /// Rebuilds a carver captured by [`ChunkCarver::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let base = Iova::new(r.u64()?);
-        let pages = r.u64()?;
-        Ok(Self {
-            range: IovaRange::new(base, pages),
-            next: r.u64()?,
-            unmapped: r.u64()?,
-        })
     }
 }
 

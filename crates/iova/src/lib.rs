@@ -88,6 +88,14 @@ pub struct AllocStats {
     pub failures: u64,
 }
 
+fns_snap::snap_fields!(AllocStats {
+    allocs,
+    frees,
+    tree_allocs,
+    tree_frees,
+    failures
+});
+
 /// Common interface of all IOVA allocators.
 ///
 /// `core` is the CPU core issuing the call; the caching allocator uses it to

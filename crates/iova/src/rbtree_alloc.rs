@@ -7,8 +7,6 @@
 //! compactness §2.2 of the paper assumes. The ranges live in an
 //! [`IntervalSet`]; only its order matters, not the tree shape.
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
-
 use crate::interval_set::IntervalSet;
 use crate::types::{Iova, IovaRange, IOVA_SPACE_TOP, PAGE_SHIFT};
 use crate::{AllocError, AllocStats, IovaAllocator};
@@ -43,6 +41,16 @@ pub struct RbTreeAllocator {
     search_start: u64,
     stats: AllocStats,
 }
+
+// The range set travels logically (re-inserted on restore), while
+// `search_start`, which steers future allocations, travels verbatim.
+fns_snap::snap_fields!(RbTreeAllocator {
+    ranges,
+    limit_pfn,
+    align_to_size,
+    search_start,
+    stats
+});
 
 impl Default for RbTreeAllocator {
     fn default() -> Self {
@@ -157,43 +165,6 @@ impl RbTreeAllocator {
         (spans, largest)
     }
 
-    /// Serializes the full allocator state for checkpointing. The range set
-    /// travels logically (ranges in ascending order, re-inserted on
-    /// restore), while `search_start` — which steers future allocations —
-    /// travels verbatim.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.ranges.len());
-        for (lo, hi) in self.ranges.iter() {
-            w.u64(lo);
-            w.u64(hi);
-        }
-        w.u64(self.limit_pfn);
-        w.bool(self.align_to_size);
-        w.u64(self.search_start);
-        snap_alloc_stats(&self.stats, w);
-    }
-
-    /// Rebuilds an allocator captured by [`RbTreeAllocator::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.seq()?;
-        let mut ranges = IntervalSet::new();
-        for _ in 0..n {
-            let lo = r.u64()?;
-            let hi = r.u64()?;
-            ranges.insert(lo, hi).map_err(|_| SnapError::BadTag {
-                what: "overlapping iova range",
-                tag: lo,
-            })?;
-        }
-        Ok(Self {
-            ranges,
-            limit_pfn: r.u64()?,
-            align_to_size: r.bool()?,
-            search_start: r.u64()?,
-            stats: unsnap_alloc_stats(r)?,
-        })
-    }
-
     /// Removes a range from the set, reporting an unbalanced free as an
     /// error instead of panicking.
     pub(crate) fn try_free_range(&mut self, range: IovaRange) -> Result<(), AllocError> {
@@ -209,26 +180,6 @@ impl RbTreeAllocator {
         self.stats.tree_frees += 1;
         Ok(())
     }
-}
-
-/// Serializes an [`AllocStats`] (shared by both allocators' snapshots).
-pub(crate) fn snap_alloc_stats(s: &AllocStats, w: &mut SnapWriter) {
-    w.u64(s.allocs);
-    w.u64(s.frees);
-    w.u64(s.tree_allocs);
-    w.u64(s.tree_frees);
-    w.u64(s.failures);
-}
-
-/// Rebuilds an [`AllocStats`] captured by [`snap_alloc_stats`].
-pub(crate) fn unsnap_alloc_stats(r: &mut SnapReader) -> Result<AllocStats, SnapError> {
-    Ok(AllocStats {
-        allocs: r.u64()?,
-        frees: r.u64()?,
-        tree_allocs: r.u64()?,
-        tree_frees: r.u64()?,
-        failures: r.u64()?,
-    })
 }
 
 impl IovaAllocator for RbTreeAllocator {

@@ -12,9 +12,7 @@
 //! so successive IOVAs handed to a descriptor land on many different PT-L4
 //! pages, blowing out the PTcache-L3 working set (Figures 2e and 3e).
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
-
-use crate::rbtree_alloc::{snap_alloc_stats, unsnap_alloc_stats, RbTreeAllocator};
+use crate::rbtree_alloc::RbTreeAllocator;
 use crate::types::IovaRange;
 use crate::{AllocError, AllocStats, IovaAllocator};
 
@@ -31,6 +29,12 @@ pub struct RcacheConfig {
     /// such as F&S's 64-page descriptor chunks – go straight to the tree).
     pub max_cached_pages: u64,
 }
+
+fns_snap::snap_fields!(RcacheConfig {
+    magazine_size,
+    depot_max,
+    max_cached_pages
+});
 
 impl Default for RcacheConfig {
     fn default() -> Self {
@@ -49,11 +53,15 @@ struct CpuRcache {
     prev: Vec<u64>,
 }
 
+fns_snap::snap_fields!(CpuRcache { loaded, prev });
+
 /// Per-size-class shared state: the global depot of full magazines.
 #[derive(Debug, Clone, Default)]
 struct Depot {
     magazines: Vec<Vec<u64>>,
 }
+
+fns_snap::snap_fields!(Depot { magazines });
 
 /// The Linux-style caching IOVA allocator: per-core magazines over a
 /// red-black tree.
@@ -89,6 +97,20 @@ pub struct CachingAllocator {
     /// Allocations satisfied by pulling a magazine from the depot.
     pub depot_refills: u64,
 }
+
+// Magazine and depot stack orders travel verbatim: they decide which pfn
+// the next alloc hands out.
+fns_snap::snap_fields!(CachingAllocator {
+    tree,
+    config,
+    caches,
+    depots,
+    live,
+    live_pages,
+    stats,
+    cache_hits,
+    depot_refills,
+});
 
 impl CachingAllocator {
     /// Creates an allocator with Linux-default cache parameters for `cores`
@@ -160,80 +182,6 @@ impl CachingAllocator {
     /// space exactly as the hardware page tables would.
     pub fn fragmentation(&self) -> (u64, u64) {
         self.tree.fragmentation()
-    }
-
-    /// Serializes the full allocator state for checkpointing. Magazine and
-    /// depot stack orders travel verbatim — they decide which pfn the next
-    /// alloc hands out.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        self.tree.snap(w);
-        w.usize(self.config.magazine_size);
-        w.usize(self.config.depot_max);
-        w.u64(self.config.max_cached_pages);
-        w.seq(self.caches.len());
-        for core in &self.caches {
-            w.seq(core.len());
-            for c in core {
-                w.u64_slice(&c.loaded);
-                w.u64_slice(&c.prev);
-            }
-        }
-        w.seq(self.depots.len());
-        for d in &self.depots {
-            w.seq(d.magazines.len());
-            for mag in &d.magazines {
-                w.u64_slice(mag);
-            }
-        }
-        w.usize(self.live);
-        w.u64(self.live_pages);
-        snap_alloc_stats(&self.stats, w);
-        w.u64(self.cache_hits);
-        w.u64(self.depot_refills);
-    }
-
-    /// Rebuilds an allocator captured by [`CachingAllocator::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let tree = RbTreeAllocator::unsnap(r)?;
-        let config = RcacheConfig {
-            magazine_size: r.usize()?,
-            depot_max: r.usize()?,
-            max_cached_pages: r.u64()?,
-        };
-        let cores = r.seq()?;
-        let mut caches = Vec::with_capacity(cores.min(1 << 12));
-        for _ in 0..cores {
-            let classes = r.seq()?;
-            let mut core = Vec::with_capacity(classes.min(1 << 12));
-            for _ in 0..classes {
-                core.push(CpuRcache {
-                    loaded: r.u64_vec()?,
-                    prev: r.u64_vec()?,
-                });
-            }
-            caches.push(core);
-        }
-        let classes = r.seq()?;
-        let mut depots = Vec::with_capacity(classes.min(1 << 12));
-        for _ in 0..classes {
-            let mags = r.seq()?;
-            let mut magazines = Vec::with_capacity(mags.min(1 << 12));
-            for _ in 0..mags {
-                magazines.push(r.u64_vec()?);
-            }
-            depots.push(Depot { magazines });
-        }
-        Ok(Self {
-            tree,
-            config,
-            caches,
-            depots,
-            live: r.usize()?,
-            live_pages: r.u64()?,
-            stats: unsnap_alloc_stats(r)?,
-            cache_hits: r.u64()?,
-            depot_refills: r.u64()?,
-        })
     }
 
     /// Drops every cached magazine back into the tree (Linux's

@@ -6,6 +6,8 @@
 //! PT-L1/PT-L2 regions — the property §2.2 of the paper relies on when
 //! computing PTcache coverage.
 
+use fns_snap::{Snap, SnapError, SnapReader, SnapWriter};
+
 /// Page shift shared with the physical side (4 KB pages).
 pub const PAGE_SHIFT: u32 = 12;
 /// Page size in bytes.
@@ -28,6 +30,23 @@ pub const IOVA_SPACE_TOP: u64 = 1 << IOVA_BITS;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Iova(u64);
+
+/// The raw address; restore refuses one beyond the 48-bit space.
+impl Snap for Iova {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.0.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match u64::unsnap(r)? {
+            raw if raw < IOVA_SPACE_TOP => Ok(Self(raw)),
+            raw => Err(SnapError::BadTag {
+                what: "iova",
+                tag: raw,
+            }),
+        }
+    }
+}
 
 impl Iova {
     /// Creates an IOVA from a raw 48-bit value.
@@ -117,6 +136,29 @@ impl std::fmt::Display for Iova {
 pub struct IovaRange {
     base: Iova,
     pages: u64,
+}
+
+/// Base, then length in pages; restore refuses a range
+/// [`IovaRange::new`] would reject.
+impl Snap for IovaRange {
+    fn snap(&self, w: &mut SnapWriter) {
+        (self.base, self.pages).snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (base, pages): (Iova, u64) = Snap::unsnap(r)?;
+        let end = pages
+            .checked_mul(PAGE_SIZE)
+            .and_then(|bytes| bytes.checked_add(base.0));
+        if !base.0.is_multiple_of(PAGE_SIZE) || pages == 0 || end.is_none_or(|e| e > IOVA_SPACE_TOP)
+        {
+            return Err(SnapError::BadTag {
+                what: "iova range",
+                tag: base.0,
+            });
+        }
+        Ok(Self { base, pages })
+    }
 }
 
 impl IovaRange {

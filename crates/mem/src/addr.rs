@@ -26,6 +26,8 @@ pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(u64);
 
+fns_snap::snap_fields!(PhysAddr { 0 });
+
 impl PhysAddr {
     /// Creates a physical address from a raw value.
     pub const fn new(raw: u64) -> Self {

@@ -6,8 +6,6 @@
 //! never-allocated frames, which in the real kernel would be memory
 //! corruption.
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
-
 use crate::addr::{PhysAddr, PAGE_SIZE};
 
 /// Errors returned by [`FrameAllocator`].
@@ -69,6 +67,19 @@ pub struct FrameAllocator {
     alloc_count: u64,
     free_count: u64,
 }
+
+// The recycle stack travels verbatim: its LIFO order decides future
+// allocations.
+fns_snap::snap_fields!(FrameAllocator {
+    recycled,
+    next_pfn,
+    bitmap,
+    in_use,
+    total,
+    peak_allocated,
+    alloc_count,
+    free_count,
+});
 
 impl FrameAllocator {
     /// Creates an allocator managing `frames` 4 KB frames, starting at
@@ -200,41 +211,6 @@ impl FrameAllocator {
     /// Total bytes managed.
     pub fn total_bytes(&self) -> u64 {
         self.total as u64 * PAGE_SIZE
-    }
-
-    /// Serializes the full allocator state for checkpointing. The recycle
-    /// stack travels verbatim (its LIFO order decides future allocations).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(self.recycled.len());
-        for pa in &self.recycled {
-            w.u64(pa.as_u64());
-        }
-        w.u64(self.next_pfn);
-        w.u64_slice(&self.bitmap);
-        w.usize(self.in_use);
-        w.usize(self.total);
-        w.usize(self.peak_allocated);
-        w.u64(self.alloc_count);
-        w.u64(self.free_count);
-    }
-
-    /// Rebuilds an allocator captured by [`FrameAllocator::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.seq()?;
-        let mut recycled = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            recycled.push(PhysAddr::new(r.u64()?));
-        }
-        Ok(Self {
-            recycled,
-            next_pfn: r.u64()?,
-            bitmap: r.u64_vec()?,
-            in_use: r.usize()?,
-            total: r.usize()?,
-            peak_allocated: r.usize()?,
-            alloc_count: r.u64()?,
-            free_count: r.u64()?,
-        })
     }
 }
 

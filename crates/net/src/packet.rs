@@ -1,10 +1,13 @@
 //! The wire unit exchanged between the two hosts.
 
 use fns_sim::time::Nanos;
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Identifier of one transport flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u32);
+
+snap_fields!(FlowId { 0 });
 
 /// Packet payload semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +24,35 @@ pub enum PacketKind {
         /// Data packets covered by this ACK (for `alpha` accounting).
         acked_pkts: u32,
     },
+}
+
+/// A tag byte (0 = data, 1 = ACK), then the ACK fields.
+impl Snap for PacketKind {
+    fn snap(&self, w: &mut SnapWriter) {
+        match *self {
+            PacketKind::Data => w.u8(0),
+            PacketKind::Ack {
+                ack_seq,
+                ecn_echo,
+                acked_pkts,
+            } => (1u8, ack_seq, ecn_echo, acked_pkts).snap(w),
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(PacketKind::Data),
+            1 => Ok(PacketKind::Ack {
+                ack_seq: r.u64()?,
+                ecn_echo: r.u32()?,
+                acked_pkts: r.u32()?,
+            }),
+            t => Err(SnapError::BadTag {
+                what: "packet kind",
+                tag: t as u64,
+            }),
+        }
+    }
 }
 
 /// A packet in flight.
@@ -42,6 +74,16 @@ pub struct Packet {
     /// Transmission timestamp (for RTT/latency measurement).
     pub sent_at: Nanos,
 }
+
+snap_fields!(Packet {
+    flow,
+    seq,
+    bytes,
+    kind,
+    ecn_marked,
+    corrupted,
+    sent_at
+});
 
 /// Wire size of a pure ACK.
 pub const ACK_BYTES: u32 = 64;
@@ -99,59 +141,6 @@ impl Packet {
     /// Returns `true` for data packets.
     pub fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data)
-    }
-
-    /// Serializes the packet for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u32(self.flow.0);
-        w.u64(self.seq);
-        w.u32(self.bytes);
-        match self.kind {
-            PacketKind::Data => w.u8(0),
-            PacketKind::Ack {
-                ack_seq,
-                ecn_echo,
-                acked_pkts,
-            } => {
-                w.u8(1);
-                w.u64(ack_seq);
-                w.u32(ecn_echo);
-                w.u32(acked_pkts);
-            }
-        }
-        w.bool(self.ecn_marked);
-        w.bool(self.corrupted);
-        w.u64(self.sent_at);
-    }
-
-    /// Rebuilds a packet captured by [`Packet::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let flow = FlowId(r.u32()?);
-        let seq = r.u64()?;
-        let bytes = r.u32()?;
-        let kind = match r.u8()? {
-            0 => PacketKind::Data,
-            1 => PacketKind::Ack {
-                ack_seq: r.u64()?,
-                ecn_echo: r.u32()?,
-                acked_pkts: r.u32()?,
-            },
-            t => {
-                return Err(fns_snap::SnapError::BadTag {
-                    what: "packet kind",
-                    tag: t as u64,
-                })
-            }
-        };
-        Ok(Self {
-            flow,
-            seq,
-            bytes,
-            kind,
-            ecn_marked: r.bool()?,
-            corrupted: r.bool()?,
-            sent_at: r.u64()?,
-        })
     }
 }
 

@@ -67,6 +67,21 @@ pub struct FlowReceiver {
     pub data_pkts: u64,
 }
 
+// The out-of-order map travels in key order.
+fns_snap::snap_fields!(FlowReceiver {
+    flow,
+    rcv_nxt,
+    ooo,
+    coalesce,
+    batch_pkts,
+    batch_marks,
+    quickack,
+    delivered_bytes,
+    dup_acks_sent,
+    acks_sent,
+    data_pkts,
+});
+
 impl FlowReceiver {
     /// Creates receive state for `flow`, coalescing `coalesce` in-order
     /// packets per ACK.
@@ -214,53 +229,6 @@ impl FlowReceiver {
             self.ooo.remove(&s);
             self.deliver_to(e);
         }
-    }
-
-    /// Serializes the full receiver state for checkpointing (the
-    /// out-of-order map travels in key order, which `BTreeMap` iteration
-    /// already guarantees).
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u32(self.flow.0);
-        w.u64(self.rcv_nxt);
-        w.seq(self.ooo.len());
-        for (&s, &e) in &self.ooo {
-            w.u64(s);
-            w.u64(e);
-        }
-        w.u32(self.coalesce);
-        w.u32(self.batch_pkts);
-        w.u32(self.batch_marks);
-        w.u32(self.quickack);
-        w.u64(self.delivered_bytes);
-        w.u64(self.dup_acks_sent);
-        w.u64(self.acks_sent);
-        w.u64(self.data_pkts);
-    }
-
-    /// Rebuilds a receiver captured by [`FlowReceiver::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let flow = FlowId(r.u32()?);
-        let rcv_nxt = r.u64()?;
-        let n = r.seq()?;
-        let mut ooo = BTreeMap::new();
-        for _ in 0..n {
-            let s = r.u64()?;
-            let e = r.u64()?;
-            ooo.insert(s, e);
-        }
-        Ok(Self {
-            flow,
-            rcv_nxt,
-            ooo,
-            coalesce: r.u32()?,
-            batch_pkts: r.u32()?,
-            batch_marks: r.u32()?,
-            quickack: r.u32()?,
-            delivered_bytes: r.u64()?,
-            dup_acks_sent: r.u64()?,
-            acks_sent: r.u64()?,
-            data_pkts: r.u64()?,
-        })
     }
 }
 

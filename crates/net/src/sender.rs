@@ -26,6 +26,14 @@ pub struct DctcpConfig {
     pub max_cwnd_bytes: u64,
 }
 
+fns_snap::snap_fields!(DctcpConfig {
+    mss,
+    init_cwnd_segments,
+    g,
+    min_rto,
+    max_cwnd_bytes
+});
+
 impl Default for DctcpConfig {
     fn default() -> Self {
         Self {
@@ -107,6 +115,29 @@ pub struct DctcpSender {
     /// Lifetime count of RTO events.
     pub timeouts: u64,
 }
+
+fns_snap::snap_fields!(DctcpSender {
+    flow,
+    cfg,
+    cwnd,
+    ssthresh,
+    snd_una,
+    snd_nxt,
+    app_limit,
+    unbounded,
+    alpha,
+    window_marked,
+    window_acked,
+    window_end,
+    last_cut_window_end,
+    dup_acks,
+    recovery_high,
+    srtt,
+    rto_backoff,
+    rto_deadline,
+    retransmits,
+    timeouts,
+});
 
 impl DctcpSender {
     /// Creates a sender for `flow`; `now` seeds the timer state.
@@ -370,66 +401,6 @@ impl DctcpSender {
     fn react_to_loss(&mut self) {
         self.ssthresh = (self.cwnd / 2).max(2 * self.cfg.mss as u64);
         self.cwnd = self.ssthresh;
-    }
-
-    /// Serializes the full sender state for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u32(self.flow.0);
-        w.u32(self.cfg.mss);
-        w.u32(self.cfg.init_cwnd_segments);
-        w.f64(self.cfg.g);
-        w.u64(self.cfg.min_rto);
-        w.u64(self.cfg.max_cwnd_bytes);
-        w.u64(self.cwnd);
-        w.u64(self.ssthresh);
-        w.u64(self.snd_una);
-        w.u64(self.snd_nxt);
-        w.u64(self.app_limit);
-        w.bool(self.unbounded);
-        w.f64(self.alpha);
-        w.u64(self.window_marked);
-        w.u64(self.window_acked);
-        w.u64(self.window_end);
-        w.u64(self.last_cut_window_end);
-        w.u32(self.dup_acks);
-        w.opt(&self.recovery_high, |w, v| w.u64(*v));
-        w.u64(self.srtt);
-        w.u32(self.rto_backoff);
-        w.opt(&self.rto_deadline, |w, v| w.u64(*v));
-        w.u64(self.retransmits);
-        w.u64(self.timeouts);
-    }
-
-    /// Rebuilds a sender captured by [`DctcpSender::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            flow: FlowId(r.u32()?),
-            cfg: DctcpConfig {
-                mss: r.u32()?,
-                init_cwnd_segments: r.u32()?,
-                g: r.f64()?,
-                min_rto: r.u64()?,
-                max_cwnd_bytes: r.u64()?,
-            },
-            cwnd: r.u64()?,
-            ssthresh: r.u64()?,
-            snd_una: r.u64()?,
-            snd_nxt: r.u64()?,
-            app_limit: r.u64()?,
-            unbounded: r.bool()?,
-            alpha: r.f64()?,
-            window_marked: r.u64()?,
-            window_acked: r.u64()?,
-            window_end: r.u64()?,
-            last_cut_window_end: r.u64()?,
-            dup_acks: r.u32()?,
-            recovery_high: r.opt(|r| r.u64())?,
-            srtt: r.u64()?,
-            rto_backoff: r.u32()?,
-            rto_deadline: r.opt(|r| r.u64())?,
-            retransmits: r.u64()?,
-            timeouts: r.u64()?,
-        })
     }
 }
 

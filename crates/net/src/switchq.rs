@@ -39,6 +39,15 @@ pub struct SwitchQueue {
     pub marks: u64,
 }
 
+fns_snap::snap_fields!(SwitchQueue {
+    capacity_bytes,
+    mark_threshold_bytes,
+    used_bytes,
+    drops,
+    marks,
+    queue,
+});
+
 impl SwitchQueue {
     /// Creates a queue with `capacity_bytes` and marking threshold `k`.
     ///
@@ -103,42 +112,6 @@ impl SwitchQueue {
         if n >= 2 {
             self.queue.swap(n - 1, n - 2);
         }
-    }
-
-    /// Serializes the queue (configuration, accounting, packets
-    /// front-to-back) for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.capacity_bytes);
-        w.u64(self.mark_threshold_bytes);
-        w.u64(self.used_bytes);
-        w.u64(self.drops);
-        w.u64(self.marks);
-        w.seq(self.queue.len());
-        for p in &self.queue {
-            p.snap(w);
-        }
-    }
-
-    /// Rebuilds a queue captured by [`SwitchQueue::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let capacity_bytes = r.u64()?;
-        let mark_threshold_bytes = r.u64()?;
-        let used_bytes = r.u64()?;
-        let drops = r.u64()?;
-        let marks = r.u64()?;
-        let n = r.seq()?;
-        let mut queue = VecDeque::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            queue.push_back(Packet::unsnap(r)?);
-        }
-        Ok(Self {
-            queue,
-            capacity_bytes,
-            mark_threshold_bytes,
-            used_bytes,
-            drops,
-            marks,
-        })
     }
 }
 

@@ -35,6 +35,17 @@ pub struct NicBuffer<T> {
     dropped_bytes: u64,
 }
 
+// Packets travel front-to-back, each with its byte count.
+fns_snap::snap_fields!(impl<T> NicBuffer<T> {
+    capacity_bytes,
+    used_bytes,
+    peak_bytes,
+    enqueued_packets,
+    dropped_packets,
+    dropped_bytes,
+    queue,
+});
+
 impl<T> NicBuffer<T> {
     /// Creates a buffer of `capacity_bytes`.
     ///
@@ -119,56 +130,6 @@ impl<T> NicBuffer<T> {
     /// Bytes tail-dropped.
     pub fn dropped_bytes(&self) -> u64 {
         self.dropped_bytes
-    }
-
-    /// Serializes the buffer (queue front-to-back plus byte accounting)
-    /// for checkpointing, with `f` encoding each packet.
-    pub fn snap_with(
-        &self,
-        w: &mut fns_snap::SnapWriter,
-        mut f: impl FnMut(&mut fns_snap::SnapWriter, &T),
-    ) {
-        w.u64(self.capacity_bytes);
-        w.u64(self.used_bytes);
-        w.u64(self.peak_bytes);
-        w.u64(self.enqueued_packets);
-        w.u64(self.dropped_packets);
-        w.u64(self.dropped_bytes);
-        w.seq(self.queue.len());
-        for (p, b) in &self.queue {
-            f(w, p);
-            w.u64(*b);
-        }
-    }
-
-    /// Rebuilds a buffer captured by [`NicBuffer::snap_with`], with `f`
-    /// decoding each packet.
-    pub fn unsnap_with(
-        r: &mut fns_snap::SnapReader,
-        mut f: impl FnMut(&mut fns_snap::SnapReader) -> Result<T, fns_snap::SnapError>,
-    ) -> Result<Self, fns_snap::SnapError> {
-        let capacity_bytes = r.u64()?;
-        let used_bytes = r.u64()?;
-        let peak_bytes = r.u64()?;
-        let enqueued_packets = r.u64()?;
-        let dropped_packets = r.u64()?;
-        let dropped_bytes = r.u64()?;
-        let n = r.seq()?;
-        let mut queue = VecDeque::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let p = f(r)?;
-            let b = r.u64()?;
-            queue.push_back((p, b));
-        }
-        Ok(Self {
-            queue,
-            capacity_bytes,
-            used_bytes,
-            peak_bytes,
-            enqueued_packets,
-            dropped_packets,
-            dropped_bytes,
-        })
     }
 }
 

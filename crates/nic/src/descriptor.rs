@@ -17,6 +17,8 @@ pub struct DescriptorPage {
     pub pa: PhysAddr,
 }
 
+fns_snap::snap_fields!(DescriptorPage { iova, pa });
+
 /// A prepared multi-page descriptor.
 ///
 /// The NIC consumes the pages in order as packets arrive; once every page
@@ -46,6 +48,8 @@ pub struct Descriptor {
     pages: Vec<DescriptorPage>,
     next: usize,
 }
+
+fns_snap::snap_fields!(Descriptor { id, next, pages });
 
 impl Descriptor {
     /// Creates a descriptor from prepared pages.
@@ -99,33 +103,6 @@ impl Descriptor {
     /// driver recycle the allocation for the next prepared descriptor.
     pub fn into_pages(self) -> Vec<DescriptorPage> {
         self.pages
-    }
-
-    /// Serializes the descriptor (id, consumption cursor, page list) for
-    /// checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.id);
-        w.usize(self.next);
-        w.seq(self.pages.len());
-        for p in &self.pages {
-            w.u64(p.iova.as_u64());
-            w.u64(p.pa.as_u64());
-        }
-    }
-
-    /// Rebuilds a descriptor captured by [`Descriptor::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let id = r.u64()?;
-        let next = r.usize()?;
-        let n = r.seq()?;
-        let mut pages = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            pages.push(DescriptorPage {
-                iova: Iova::new(r.u64()?),
-                pa: PhysAddr::new(r.u64()?),
-            });
-        }
-        Ok(Self { id, pages, next })
     }
 }
 

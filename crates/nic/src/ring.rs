@@ -62,6 +62,13 @@ pub struct RxRing {
     replenish_threshold: usize,
 }
 
+// Configuration, then the descriptors front-to-back.
+fns_snap::snap_fields!(RxRing {
+    capacity,
+    replenish_threshold,
+    descriptors
+});
+
 impl RxRing {
     /// Creates a ring holding up to `capacity` descriptors, replenished when
     /// fewer than `replenish_threshold` remain.
@@ -185,33 +192,6 @@ impl RxRing {
     /// be handed back for page-storage recycling.
     pub fn pop_any(&mut self) -> Option<Descriptor> {
         self.descriptors.pop_front()
-    }
-
-    /// Serializes the ring (configuration plus descriptors front-to-back)
-    /// for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.usize(self.capacity);
-        w.usize(self.replenish_threshold);
-        w.seq(self.descriptors.len());
-        for d in &self.descriptors {
-            d.snap(w);
-        }
-    }
-
-    /// Rebuilds a ring captured by [`RxRing::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let capacity = r.usize()?;
-        let replenish_threshold = r.usize()?;
-        let n = r.seq()?;
-        let mut descriptors = VecDeque::with_capacity(capacity.min(1 << 16));
-        for _ in 0..n {
-            descriptors.push_back(Descriptor::unsnap(r)?);
-        }
-        Ok(Self {
-            descriptors,
-            capacity,
-            replenish_threshold,
-        })
     }
 
     /// Pops the head descriptor once fully consumed, reporting a

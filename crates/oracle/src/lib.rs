@@ -39,6 +39,7 @@ use fns_iommu::pagetable::ReclaimedPage;
 use fns_iommu::{InvalidationRequest, InvalidationScope, Iommu};
 use fns_iova::{Iova, IovaRange};
 use fns_mem::PhysAddr;
+use fns_snap::{narrow, snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 use fns_trace::{TraceData, TraceHandle};
 
 /// Pages spanned by one leaf (L4) page-table page / huge mapping.
@@ -130,6 +131,16 @@ pub struct ModeContract {
     pub deferred_window: Option<u64>,
 }
 
+snap_fields!(ModeContract {
+    translates,
+    unmaps,
+    strict_safety,
+    ptcache_coherence,
+    invalidation_completeness,
+    domain_isolation,
+    deferred_window,
+});
+
 impl ModeContract {
     /// The empty contract (IOMMU off): nothing is claimed, nothing checked.
     pub fn none() -> Self {
@@ -212,6 +223,24 @@ impl Invariant {
     }
 }
 
+/// The [`Invariant::index`] as one byte.
+impl Snap for Invariant {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u8(self.index() as u8);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let idx = r.u8()?;
+        Invariant::ALL
+            .get(idx as usize)
+            .copied()
+            .ok_or(SnapError::BadTag {
+                what: "oracle invariant",
+                tag: idx as u64,
+            })
+    }
+}
+
 /// One recorded contract violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -226,6 +255,13 @@ pub struct Violation {
     pub detail: String,
 }
 
+snap_fields!(Violation {
+    invariant,
+    pfn,
+    check,
+    detail
+});
+
 /// Per-page lifecycle in the reference model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PageState {
@@ -233,6 +269,32 @@ enum PageState {
     Mapped { pa_pfn: u64, huge: bool },
     /// Unmapped; `invalidated` once an IOTLB invalidation covered it.
     Unmapped { invalidated: bool },
+}
+
+/// A tag byte (0 = mapped, 1 = unmapped), then the state's fields.
+impl Snap for PageState {
+    fn snap(&self, w: &mut SnapWriter) {
+        match *self {
+            PageState::Mapped { pa_pfn, huge } => (0u8, pa_pfn, huge).snap(w),
+            PageState::Unmapped { invalidated } => (1u8, invalidated).snap(w),
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(PageState::Mapped {
+                pa_pfn: r.u64()?,
+                huge: r.bool()?,
+            }),
+            1 => Ok(PageState::Unmapped {
+                invalidated: r.bool()?,
+            }),
+            t => Err(SnapError::BadTag {
+                what: "oracle page state",
+                tag: t as u64,
+            }),
+        }
+    }
 }
 
 /// Summary of an audited run, embedded in `RunMetrics`.
@@ -408,6 +470,61 @@ pub struct SafetyOracle {
     trace: TraceHandle,
 }
 
+/// The full shadow model, hash maps sorted by key and the page-owner map's
+/// domains widened to `u64`. The attached trace handle is not written (the
+/// sim owns the ring and restores it separately): a restored oracle comes
+/// back with it `Off`; reattach with [`SafetyOracle::set_trace`].
+impl Snap for SafetyOracle {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.contract.snap(w);
+        self.fatal.snap(w);
+        self.pages.snap(w);
+        self.pending_inval.snap(w);
+        self.pending_reclaim.snap(w);
+        self.live_iova.snap(w);
+        self.shadow_iotlb.snap(w);
+        self.shadow_iotlb_huge.snap(w);
+        self.shadow_ptc.snap(w);
+        self.epochs_queued.snap(w);
+        self.epochs_applied.snap(w);
+        self.checks.snap(w);
+        self.ops.snap(w);
+        self.counts.snap(w);
+        self.samples.snap(w);
+        let owners: BTreeMap<u64, u64> = self
+            .owners
+            .iter()
+            .map(|(&pfn, &d)| (pfn, d.into()))
+            .collect();
+        owners.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Self {
+            contract: Snap::unsnap(r)?,
+            fatal: Snap::unsnap(r)?,
+            pages: Snap::unsnap(r)?,
+            pending_inval: Snap::unsnap(r)?,
+            pending_reclaim: Snap::unsnap(r)?,
+            live_iova: Snap::unsnap(r)?,
+            shadow_iotlb: Snap::unsnap(r)?,
+            shadow_iotlb_huge: Snap::unsnap(r)?,
+            shadow_ptc: Snap::unsnap(r)?,
+            epochs_queued: Snap::unsnap(r)?,
+            epochs_applied: Snap::unsnap(r)?,
+            checks: Snap::unsnap(r)?,
+            ops: Snap::unsnap(r)?,
+            counts: Snap::unsnap(r)?,
+            samples: Snap::unsnap(r)?,
+            owners: Vec::<(u64, u64)>::unsnap(r)?
+                .into_iter()
+                .map(|(pfn, d)| Ok((pfn, narrow("page owner domain", d)?)))
+                .collect::<Result<_, SnapError>>()?,
+            trace: TraceHandle::Off,
+        })
+    }
+}
+
 impl SafetyOracle {
     /// A fresh model for one simulated driver under `contract`.
     pub fn new(contract: ModeContract, fatal: bool) -> Self {
@@ -550,198 +667,6 @@ impl SafetyOracle {
         for k in keys {
             shadow.remove(&k);
         }
-    }
-
-    /// Serializes the full shadow model for checkpointing. The attached
-    /// trace handle is NOT serialized (the sim owns the ring and restores
-    /// it separately); reattach with [`SafetyOracle::set_trace`].
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.bool(self.contract.translates);
-        w.bool(self.contract.unmaps);
-        w.bool(self.contract.strict_safety);
-        w.bool(self.contract.ptcache_coherence);
-        w.bool(self.contract.invalidation_completeness);
-        w.bool(self.contract.domain_isolation);
-        w.opt(&self.contract.deferred_window, |w, &v| w.u64(v));
-        w.bool(self.fatal);
-        let mut pages: Vec<(u64, PageState)> = self.pages.iter().map(|(&k, &v)| (k, v)).collect();
-        pages.sort_unstable_by_key(|&(k, _)| k);
-        w.seq(pages.len());
-        for (pfn, state) in pages {
-            w.u64(pfn);
-            match state {
-                PageState::Mapped { pa_pfn, huge } => {
-                    w.u8(0);
-                    w.u64(pa_pfn);
-                    w.bool(huge);
-                }
-                PageState::Unmapped { invalidated } => {
-                    w.u8(1);
-                    w.bool(invalidated);
-                }
-            }
-        }
-        w.seq(self.pending_inval.len());
-        for &pfn in &self.pending_inval {
-            w.u64(pfn);
-        }
-        w.seq(self.pending_reclaim.len());
-        for &(level, key) in &self.pending_reclaim {
-            w.u8(level);
-            w.u64(key);
-        }
-        w.seq(self.live_iova.len());
-        for (&base, &pages) in &self.live_iova {
-            w.u64(base);
-            w.u64(pages);
-        }
-        w.seq(self.shadow_iotlb.len());
-        for &pfn in &self.shadow_iotlb {
-            w.u64(pfn);
-        }
-        w.seq(self.shadow_iotlb_huge.len());
-        for &key in &self.shadow_iotlb_huge {
-            w.u64(key);
-        }
-        for set in &self.shadow_ptc {
-            w.seq(set.len());
-            for &key in set {
-                w.u64(key);
-            }
-        }
-        w.u64(self.epochs_queued);
-        w.u64(self.epochs_applied);
-        w.u64(self.checks);
-        w.u64(self.ops);
-        for &c in &self.counts {
-            w.u64(c);
-        }
-        w.seq(self.samples.len());
-        for v in &self.samples {
-            w.u8(v.invariant.index() as u8);
-            w.u64(v.pfn);
-            w.u64(v.check);
-            w.str(&v.detail);
-        }
-        let mut owners: Vec<(u64, u16)> = self.owners.iter().map(|(&k, &v)| (k, v)).collect();
-        owners.sort_unstable_by_key(|&(k, _)| k);
-        w.seq(owners.len());
-        for (pfn, d) in owners {
-            w.u64(pfn);
-            w.u64(d as u64);
-        }
-    }
-
-    /// Rebuilds an oracle captured by [`SafetyOracle::snap`]. The trace
-    /// handle comes back `Off`; reattach via [`SafetyOracle::set_trace`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let contract = ModeContract {
-            translates: r.bool()?,
-            unmaps: r.bool()?,
-            strict_safety: r.bool()?,
-            ptcache_coherence: r.bool()?,
-            invalidation_completeness: r.bool()?,
-            domain_isolation: r.bool()?,
-            deferred_window: r.opt(|r| r.u64())?,
-        };
-        let fatal = r.bool()?;
-        let n = r.seq()?;
-        let mut pages = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let pfn = r.u64()?;
-            let state = match r.u8()? {
-                0 => PageState::Mapped {
-                    pa_pfn: r.u64()?,
-                    huge: r.bool()?,
-                },
-                1 => PageState::Unmapped {
-                    invalidated: r.bool()?,
-                },
-                t => {
-                    return Err(fns_snap::SnapError::BadTag {
-                        what: "oracle page state",
-                        tag: t as u64,
-                    })
-                }
-            };
-            pages.insert(pfn, state);
-        }
-        let mut pending_inval = BTreeSet::new();
-        for _ in 0..r.seq()? {
-            pending_inval.insert(r.u64()?);
-        }
-        let mut pending_reclaim = BTreeSet::new();
-        for _ in 0..r.seq()? {
-            let level = r.u8()?;
-            pending_reclaim.insert((level, r.u64()?));
-        }
-        let mut live_iova = BTreeMap::new();
-        for _ in 0..r.seq()? {
-            let base = r.u64()?;
-            live_iova.insert(base, r.u64()?);
-        }
-        let mut shadow_iotlb = BTreeSet::new();
-        for _ in 0..r.seq()? {
-            shadow_iotlb.insert(r.u64()?);
-        }
-        let mut shadow_iotlb_huge = BTreeSet::new();
-        for _ in 0..r.seq()? {
-            shadow_iotlb_huge.insert(r.u64()?);
-        }
-        let mut shadow_ptc = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
-        for set in &mut shadow_ptc {
-            for _ in 0..r.seq()? {
-                set.insert(r.u64()?);
-            }
-        }
-        let epochs_queued = r.u64()?;
-        let epochs_applied = r.u64()?;
-        let checks = r.u64()?;
-        let ops = r.u64()?;
-        let mut counts = [0u64; 6];
-        for c in &mut counts {
-            *c = r.u64()?;
-        }
-        let n = r.seq()?;
-        let mut samples = Vec::with_capacity(n.min(SAMPLE_CAP));
-        for _ in 0..n {
-            let idx = r.u8()? as usize;
-            let invariant = *Invariant::ALL.get(idx).ok_or(fns_snap::SnapError::BadTag {
-                what: "oracle invariant",
-                tag: idx as u64,
-            })?;
-            samples.push(Violation {
-                invariant,
-                pfn: r.u64()?,
-                check: r.u64()?,
-                detail: r.str()?.to_string(),
-            });
-        }
-        let n = r.seq()?;
-        let mut owners = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let pfn = r.u64()?;
-            owners.insert(pfn, r.u64()? as u16);
-        }
-        Ok(Self {
-            contract,
-            fatal,
-            pages,
-            pending_inval,
-            pending_reclaim,
-            live_iova,
-            shadow_iotlb,
-            shadow_iotlb_huge,
-            shadow_ptc,
-            owners,
-            epochs_queued,
-            epochs_applied,
-            checks,
-            ops,
-            counts,
-            samples,
-            trace: TraceHandle::Off,
-        })
     }
 
     /// Differential cross-check, called by the driver right after it
@@ -1160,6 +1085,32 @@ macro_rules! forward {
     };
 }
 
+/// A tag byte, then the oracle when auditing. Clone a restored handle
+/// into every component that held the original, and reattach the trace
+/// ring with [`AuditHandle::set_trace`].
+impl Snap for AuditHandle {
+    fn snap(&self, w: &mut SnapWriter) {
+        match self {
+            AuditHandle::Off => w.u8(0),
+            AuditHandle::On(o) => {
+                w.u8(1);
+                o.snap(w);
+            }
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(AuditHandle::Off),
+            1 => Ok(AuditHandle::On(Snap::unsnap(r)?)),
+            t => Err(SnapError::BadTag {
+                what: "audit handle",
+                tag: t as u64,
+            }),
+        }
+    }
+}
+
 impl AuditHandle {
     /// An auditing handle over a fresh oracle for `contract`.
     pub fn recording(contract: ModeContract, fatal: bool) -> Self {
@@ -1175,33 +1126,6 @@ impl AuditHandle {
     /// Attach a trace ring to the oracle (no-op when off).
     pub fn set_trace(&self, trace: TraceHandle) {
         forward!(self, set_trace(trace));
-    }
-
-    /// Serializes the handle (and the oracle behind it) for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        match self {
-            AuditHandle::Off => w.u8(0),
-            AuditHandle::On(o) => {
-                w.u8(1);
-                o.borrow().snap(w);
-            }
-        }
-    }
-
-    /// Rebuilds a handle captured by [`AuditHandle::snap`]. Clone the
-    /// result into every component that held the original, and reattach
-    /// the trace ring with [`AuditHandle::set_trace`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(AuditHandle::Off),
-            1 => Ok(AuditHandle::On(Rc::new(RefCell::new(
-                SafetyOracle::unsnap(r)?,
-            )))),
-            t => Err(fns_snap::SnapError::BadTag {
-                what: "audit handle",
-                tag: t as u64,
-            }),
-        }
     }
 
     /// Snapshot the run summary ([`AuditReport::default`] when off).

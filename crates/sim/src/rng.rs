@@ -26,6 +26,9 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+// The raw xoshiro256++ state: a restored generator resumes the exact stream.
+fns_snap::snap_fields!(SimRng { s });
+
 /// Weyl increment used by SplitMix64 and for salt mixing.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -127,17 +130,6 @@ impl SimRng {
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "index into empty slice");
         self.range(0, len as u64) as usize
-    }
-
-    /// Raw xoshiro256++ state, for checkpointing. Restoring via
-    /// [`SimRng::from_state`] resumes the exact bit stream.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a captured [`SimRng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Self { s }
     }
 }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::snap_fields;
 
 /// A log-linear histogram for latency-like values, HDR-histogram style.
 ///
@@ -37,6 +37,14 @@ pub struct Histogram {
     min: u64,
     max: u64,
 }
+
+snap_fields!(Histogram {
+    buckets,
+    count,
+    sum,
+    min,
+    max
+});
 
 const SUB_BUCKETS: u32 = 32;
 const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
@@ -152,26 +160,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Serializes the full histogram state for checkpointing.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64_slice(&self.buckets);
-        w.u64(self.count);
-        w.u128(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Rebuilds a histogram captured by [`Histogram::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            buckets: r.u64_vec()?,
-            count: r.u64()?,
-            sum: r.u128()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
-    }
 }
 
 /// Exact histogram of reuse distances: a count per distance value plus the
@@ -206,6 +194,8 @@ pub struct DistanceHist {
     // counts[d] = re-accesses at distance d. May carry trailing zeros.
     counts: Vec<u64>,
 }
+
+snap_fields!(DistanceHist { first, counts });
 
 impl DistanceHist {
     /// Creates an empty histogram.
@@ -290,20 +280,6 @@ impl DistanceHist {
         }
         None
     }
-
-    /// Serializes the histogram for checkpointing.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.first);
-        w.u64_slice(&self.counts);
-    }
-
-    /// Rebuilds a histogram captured by [`DistanceHist::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            first: r.u64()?,
-            counts: r.u64_vec()?,
-        })
-    }
 }
 
 /// Equal when every count is equal; trailing zero buckets left by
@@ -368,20 +344,6 @@ impl MeanTracker {
     pub fn count(&self) -> u64 {
         self.count
     }
-
-    /// Serializes the tracker for checkpointing (sum travels as IEEE bits).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.sum);
-        w.u64(self.count);
-    }
-
-    /// Rebuilds a tracker captured by [`MeanTracker::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            sum: r.f64()?,
-            count: r.u64()?,
-        })
-    }
 }
 
 /// Reuse-distance tracker over an access stream of keys.
@@ -427,6 +389,16 @@ pub struct ReuseDistance {
     n_accesses: usize,
     hist: DistanceHist,
 }
+
+// The Fenwick tree travels verbatim (physical state), the position map
+// sorted by key.
+snap_fields!(ReuseDistance {
+    tree,
+    last_pos,
+    next,
+    n_accesses,
+    hist
+});
 
 /// Multiply-shift hasher for the u64 page keys in `last_pos`. The tracker
 /// runs on every recorded page map, and the default SipHash is the single
@@ -555,48 +527,12 @@ impl ReuseDistance {
     pub fn is_empty(&self) -> bool {
         self.n_accesses == 0
     }
-
-    /// Serializes the full tracker state for checkpointing. The Fenwick
-    /// tree is captured verbatim (physical state), the position map sorted
-    /// by key so the byte stream is deterministic.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64_slice(&self.tree);
-        let mut pairs: Vec<(u64, usize)> = self.last_pos.iter().map(|(&k, &v)| (k, v)).collect();
-        pairs.sort_unstable();
-        w.seq(pairs.len());
-        for (k, v) in pairs {
-            w.u64(k);
-            w.usize(v);
-        }
-        w.usize(self.next);
-        w.usize(self.n_accesses);
-        self.hist.snap(w);
-    }
-
-    /// Rebuilds a tracker captured by [`ReuseDistance::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let tree = r.u64_vec()?;
-        let n = r.seq()?;
-        let mut last_pos =
-            HashMap::with_capacity_and_hasher(n, BuildHasherDefault::<Mul64Hasher>::default());
-        for _ in 0..n {
-            let k = r.u64()?;
-            let v = r.usize()?;
-            last_pos.insert(k, v);
-        }
-        Ok(Self {
-            tree,
-            last_pos,
-            next: r.usize()?,
-            n_accesses: r.usize()?,
-            hist: DistanceHist::unsnap(r)?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fns_snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn histogram_empty() {

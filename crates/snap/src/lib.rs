@@ -17,16 +17,30 @@
 //!   and a trailing FNV-1a checksum over everything before it.
 //!
 //! [`SnapWriter`] appends primitives to a byte buffer; [`SnapReader`]
-//! consumes them in the same order. There is no schema — reader and writer
-//! are the same code path in each owning crate (`snap`/`unsnap` method
-//! pairs), and the format version in the header is bumped whenever any of
-//! those pairs changes shape.
+//! consumes them in the same order. Every snapshotted type implements the
+//! [`Snap`] trait, whose two halves are one encoding: the primitives,
+//! `Option`, the sequence containers, tuples and fixed arrays are
+//! implemented here once, and a plain struct lists its persisted fields
+//! once, in wire order, through [`snap_fields!`]. Only types whose restore
+//! needs context or validation (a ring's geometry, a cache's capacity, a
+//! handle that is re-shared after restore) write the two halves by hand,
+//! and even those encode every field through [`Snap`]. The format version
+//! in the header is bumped whenever any encoding changes shape.
+//!
+//! Sequence lengths come from the file, so no decoder trusts them for an
+//! allocation: every sequence preallocates at most [`MAX_PREALLOC`]
+//! elements and grows only as elements actually decode.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
+use std::rc::Rc;
 
 /// Magic bytes opening every snapshot file ("FNSSNAP" + format generation).
 pub const MAGIC: &[u8; 8] = b"FNSSNAP1";
 
 /// Format version written after the magic. Bump on ANY layout change to any
-/// `snap`/`unsnap` pair — old snapshots must refuse to load, not misparse.
+/// [`Snap`] encoding — old snapshots must refuse to load, not misparse.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load. Every variant names the exact reason so a
@@ -45,6 +59,9 @@ pub enum SnapError {
     UnexpectedEof { at: usize, need: usize },
     /// A decoded discriminant/tag byte has no matching variant.
     BadTag { what: &'static str, tag: u64 },
+    /// A decoded capacity is zero or beyond what the structure can hold;
+    /// building the structure from it would panic or exhaust memory.
+    BadCapacity { what: &'static str, capacity: u64 },
     /// The snapshot's config fingerprint disagrees with the caller's
     /// config — resuming under a different config would silently diverge.
     ConfigMismatch { what: &'static str },
@@ -73,6 +90,9 @@ impl std::fmt::Display for SnapError {
             }
             SnapError::BadTag { what, tag } => {
                 write!(f, "snapshot contains invalid {what} tag {tag}")
+            }
+            SnapError::BadCapacity { what, capacity } => {
+                write!(f, "snapshot contains invalid {what} capacity {capacity}")
             }
             SnapError::ConfigMismatch { what } => write!(
                 f,
@@ -123,16 +143,6 @@ impl SnapWriter {
         let sum = fnv1a(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
-    }
-
-    /// Bytes encoded so far (header included, checksum not yet).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True before anything beyond the header has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.len() <= MAGIC.len() + 4
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -189,25 +199,6 @@ impl SnapWriter {
     /// Length prefix for a sequence whose elements the caller writes next.
     pub fn seq(&mut self, len: usize) {
         self.usize(len);
-    }
-
-    /// `Option` as a presence byte; the caller writes the payload if `Some`.
-    pub fn opt<T>(&mut self, v: &Option<T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                f(self, x);
-            }
-        }
-    }
-
-    /// Convenience: a whole `&[u64]` slice, length-prefixed.
-    pub fn u64_slice(&mut self, v: &[u64]) {
-        self.seq(v.len());
-        for &x in v {
-            self.u64(x);
-        }
     }
 }
 
@@ -329,35 +320,6 @@ impl<'a> SnapReader<'a> {
         self.usize()
     }
 
-    /// `Option` presence byte; the caller reads the payload if `Some`.
-    pub fn opt<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Option<T>, SnapError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            t => Err(SnapError::BadTag {
-                what: "option",
-                tag: t as u64,
-            }),
-        }
-    }
-
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapError> {
-        let n = self.seq()?;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-
-    /// Bytes remaining unread in the body.
-    pub fn remaining(&self) -> usize {
-        self.body.len() - self.pos
-    }
-
     /// Must be the final call: fails if the body was not fully consumed.
     pub fn done(&self) -> Result<(), SnapError> {
         if self.pos != self.body.len() {
@@ -367,6 +329,294 @@ impl<'a> SnapReader<'a> {
         }
         Ok(())
     }
+}
+
+/// Narrows an integer that travels widened (a `u16` domain written as a
+/// `u64`, say), refusing a value the in-memory type cannot hold.
+pub fn narrow<T: TryFrom<u64>>(what: &'static str, v: u64) -> Result<T, SnapError> {
+    T::try_from(v).map_err(|_| SnapError::BadTag { what, tag: v })
+}
+
+/// Most elements any sequence decoder reserves before they decode: a
+/// length prefix comes from the file and must not size an allocation.
+pub const MAX_PREALLOC: usize = 1 << 16;
+
+/// A type with one snapshot encoding: [`Snap::snap`] writes it and
+/// [`Snap::unsnap`] reads back exactly what it wrote.
+///
+/// Plain structs implement it with [`snap_fields!`]; enums and types whose
+/// restore validates or rebuilds state write the two halves by hand.
+pub trait Snap: Sized {
+    /// Appends the value's encoding.
+    fn snap(&self, w: &mut SnapWriter);
+    /// Decodes a value written by [`Snap::snap`].
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+macro_rules! snap_primitives {
+    ($($t:ident),*) => {$(
+        impl Snap for $t {
+            fn snap(&self, w: &mut SnapWriter) {
+                w.$t(*self);
+            }
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+
+// `usize` travels as `u64`, `f64` as its bits, `u128` as (lo, hi).
+snap_primitives!(u8, bool, u16, u32, u64, i64, usize, f64, u128);
+
+impl Snap for String {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(r.str()?.to_string())
+    }
+}
+
+/// A presence byte, then the payload if `Some`.
+impl<T: Snap> Snap for Option<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.snap(w);
+            }
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::unsnap(r)?)),
+            t => Err(SnapError::BadTag {
+                what: "option",
+                tag: t as u64,
+            }),
+        }
+    }
+}
+
+/// Writes a `seq` prefix and then each element.
+fn snap_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.seq(items.len());
+    for v in items {
+        v.snap(w);
+    }
+}
+
+/// Reads a `seq` prefix and that many elements into a collection made by
+/// `alloc`, which is asked for at most [`MAX_PREALLOC`] slots.
+fn unsnap_seq<T: Snap, C>(
+    r: &mut SnapReader<'_>,
+    alloc: impl FnOnce(usize) -> C,
+    mut push: impl FnMut(&mut C, T),
+) -> Result<C, SnapError> {
+    let n = r.seq()?;
+    let mut out = alloc(n.min(MAX_PREALLOC));
+    for _ in 0..n {
+        push(&mut out, T::unsnap(r)?);
+    }
+    Ok(out)
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        snap_seq(w, self.iter());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        unsnap_seq(r, Vec::with_capacity, Vec::push)
+    }
+}
+
+impl<T: Snap> Snap for VecDeque<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        snap_seq(w, self.iter());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        unsnap_seq(r, VecDeque::with_capacity, VecDeque::push_back)
+    }
+}
+
+/// Elements in ascending order.
+impl<T: Snap + Ord> Snap for BTreeSet<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        snap_seq(w, self.iter());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        unsnap_seq(
+            r,
+            |_| BTreeSet::new(),
+            |s, v| {
+                s.insert(v);
+            },
+        )
+    }
+}
+
+/// `(key, value)` pairs in ascending key order.
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.seq(self.len());
+        for (k, v) in self {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        unsnap_seq(
+            r,
+            |_| BTreeMap::new(),
+            |m, (k, v)| {
+                m.insert(k, v);
+            },
+        )
+    }
+}
+
+/// `(key, value)` pairs sorted by key, so the bytes do not depend on the
+/// table's iteration order.
+impl<K: Snap + Ord + Hash, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.seq(pairs.len());
+        for (k, v) in pairs {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        unsnap_seq(
+            r,
+            |n| HashMap::with_capacity_and_hasher(n, S::default()),
+            |m, (k, v)| {
+                m.insert(k, v);
+            },
+        )
+    }
+}
+
+/// The elements back to back, no length prefix.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let v: Vec<T> = (0..N).map(|_| T::unsnap(r)).collect::<Result<_, _>>()?;
+        Ok(v.try_into()
+            .unwrap_or_else(|_| unreachable!("decoded exactly N elements")))
+    }
+}
+
+macro_rules! snap_tuples {
+    ($(($($t:ident . $i:tt),+));*) => {$(
+        /// The members in order.
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn snap(&self, w: &mut SnapWriter) {
+                $(self.$i.snap(w);)+
+            }
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::unsnap(r)?,)+))
+            }
+        }
+    )*};
+}
+
+snap_tuples! {
+    (A.0, B.1);
+    (A.0, B.1, C.2);
+    (A.0, B.1, C.2, D.3);
+    (A.0, B.1, C.2, D.3, E.4)
+}
+
+/// The value itself. A restore builds one `Rc` per encoding, so an owner
+/// that shares the value must write it once and re-share the restored one.
+impl<T: Snap> Snap for Rc<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Rc::new(T::unsnap(r)?))
+    }
+}
+
+/// The borrowed value.
+impl<T: Snap> Snap for RefCell<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.borrow().snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(RefCell::new(T::unsnap(r)?))
+    }
+}
+
+/// Implements [`Snap`] for a struct from its persisted fields, listed once
+/// in wire order. Each field travels as its own [`Snap`] encoding;
+/// `field as T` widens it to the primitive `T` on the wire, and restore
+/// refuses a value the field cannot hold (see [`narrow`]).
+/// Fields that are not persisted go in a trailing
+/// `restore_with { field: expr, … }` block that rebuilds them on restore.
+///
+/// A tuple struct names its fields by index, and a generic struct opens
+/// with `impl<T, …>`, which requires `T: Snap` for each parameter.
+///
+/// ```
+/// use fns_snap::{snap_fields, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Counter {
+///     hits: u64,
+///     domain: u16,
+///     cache: Vec<u64>,
+/// }
+/// snap_fields!(Counter { hits, domain as u64 } restore_with { cache: Vec::new() });
+///
+/// let c = Counter { hits: 7, domain: 3, cache: vec![1] };
+/// let mut w = SnapWriter::new();
+/// c.snap(&mut w);
+/// let bytes = w.finish();
+/// let mut r = SnapReader::new(&bytes).unwrap();
+/// let back = Counter::unsnap(&mut r).unwrap();
+/// assert_eq!(back, Counter { hits: 7, domain: 3, cache: Vec::new() });
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    (@body { $($field:tt $(as $wire:ty)?),* } { $($skip:ident: $default:expr),* }) => {
+        fn snap(&self, w: &mut $crate::SnapWriter) {
+            $($crate::snap_fields!(@put w, self.$field $(, $wire)?);)*
+        }
+        fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+            Ok(Self {
+                $($field: $crate::snap_fields!(@get r, $field $(, $wire)?),)*
+                $($skip: $default,)*
+            })
+        }
+    };
+    (@put $w:ident, $v:expr) => { $crate::Snap::snap(&$v, $w) };
+    (@put $w:ident, $v:expr, $wire:ty) => { $crate::Snap::snap(&<$wire>::from($v), $w) };
+    (@get $r:ident, $field:tt) => { $crate::Snap::unsnap($r)? };
+    (@get $r:ident, $field:tt, $wire:ty) => {
+        $crate::narrow(stringify!($field), <$wire as $crate::Snap>::unsnap($r)?.into())?
+    };
+    (impl<$($g:ident),+> $ty:ty { $($field:tt $(as $wire:ty)?),* $(,)? }
+        $(restore_with { $($skip:ident: $default:expr),* $(,)? })?) => {
+        impl<$($g: $crate::Snap),+> $crate::Snap for $ty {
+            $crate::snap_fields!(@body { $($field $(as $wire)?),* } { $($($skip: $default),*)? });
+        }
+    };
+    ($ty:ty { $($field:tt $(as $wire:ty)?),* $(,)? }
+        $(restore_with { $($skip:ident: $default:expr),* $(,)? })?) => {
+        impl $crate::Snap for $ty {
+            $crate::snap_fields!(@body { $($field $(as $wire)?),* } { $($($skip: $default),*)? });
+        }
+    };
 }
 
 #[cfg(test)]
@@ -389,9 +639,6 @@ mod tests {
         w.u128(u128::MAX - 7);
         w.bytes(b"hello");
         w.str("snapshot");
-        w.opt(&Some(9u64), |w, v| w.u64(*v));
-        w.opt(&None::<u64>, |w, v| w.u64(*v));
-        w.u64_slice(&[1, 2, 3]);
         let bytes = w.finish();
 
         let mut r = SnapReader::new(&bytes).unwrap();
@@ -408,10 +655,200 @@ mod tests {
         assert_eq!(r.u128().unwrap(), u128::MAX - 7);
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert_eq!(r.str().unwrap(), "snapshot");
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(9));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
-        assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
         r.done().unwrap();
+    }
+
+    /// A finished snapshot holding whatever `f` writes.
+    fn encode(f: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        f(&mut w);
+        w.finish()
+    }
+
+    /// Encodes `v` through [`Snap`] and checks it decodes back whole.
+    fn round_trip<T: Snap + PartialEq + std::fmt::Debug>(v: &T) -> Vec<u8> {
+        let bytes = encode(|w| v.snap(w));
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(&T::unsnap(&mut r).unwrap(), v);
+        r.done().unwrap();
+        bytes
+    }
+
+    #[test]
+    fn primitive_impls_write_the_writer_methods_bytes() {
+        assert_eq!(round_trip(&0xABu8), encode(|w| w.u8(0xAB)));
+        assert_eq!(round_trip(&true), encode(|w| w.bool(true)));
+        assert_eq!(round_trip(&0xBEEFu16), encode(|w| w.u16(0xBEEF)));
+        assert_eq!(round_trip(&7u32), encode(|w| w.u32(7)));
+        assert_eq!(round_trip(&(u64::MAX - 1)), encode(|w| w.u64(u64::MAX - 1)));
+        assert_eq!(round_trip(&-42i64), encode(|w| w.i64(-42)));
+        assert_eq!(round_trip(&99usize), encode(|w| w.u64(99)));
+        assert_eq!(round_trip(&-0.5f64), encode(|w| w.u64((-0.5f64).to_bits())));
+        let big = u128::MAX - 7;
+        assert_eq!(
+            round_trip(&big),
+            encode(|w| {
+                w.u64(big as u64);
+                w.u64((big >> 64) as u64);
+            })
+        );
+        assert_eq!(round_trip(&"snap".to_string()), encode(|w| w.str("snap")));
+    }
+
+    #[test]
+    fn option_is_a_presence_byte_then_the_payload() {
+        assert_eq!(
+            round_trip(&Some(9u64)),
+            encode(|w| {
+                w.u8(1);
+                w.u64(9);
+            })
+        );
+        assert_eq!(round_trip(&None::<u64>), encode(|w| w.u8(0)));
+        let bytes = encode(|w| w.u8(2));
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(matches!(
+            Option::<u64>::unsnap(&mut r),
+            Err(SnapError::BadTag {
+                what: "option",
+                tag: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn sequences_are_a_length_prefix_then_the_elements() {
+        let seq_of_u64 = encode(|w| {
+            w.seq(3);
+            for v in [1, 2, 3] {
+                w.u64(v);
+            }
+        });
+        assert_eq!(round_trip(&vec![1u64, 2, 3]), seq_of_u64);
+        assert_eq!(round_trip(&VecDeque::from([1u64, 2, 3])), seq_of_u64);
+        assert_eq!(round_trip(&BTreeSet::from([3u64, 1, 2])), seq_of_u64);
+        // A byte vector is the length-prefixed raw bytes.
+        assert_eq!(round_trip(&b"hey".to_vec()), encode(|w| w.bytes(b"hey")));
+    }
+
+    #[test]
+    fn maps_are_key_sorted_pairs() {
+        let pairs = encode(|w| {
+            w.seq(2);
+            w.u64(1);
+            w.u32(10);
+            w.u64(5);
+            w.u32(50);
+        });
+        assert_eq!(round_trip(&BTreeMap::from([(5u64, 50u32), (1, 10)])), pairs);
+        assert_eq!(round_trip(&vec![(1u64, 10u32), (5, 50)]), pairs);
+        // Insertion order must not show: a large table iterates out of
+        // key order, the encoding never does.
+        let map: HashMap<u64, u32> = (0..500u64).rev().map(|k| (k * 7919, k as u32)).collect();
+        let sorted: BTreeMap<u64, u32> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(round_trip(&map), round_trip(&sorted));
+    }
+
+    #[test]
+    fn tuples_and_arrays_have_no_prefix() {
+        let three = encode(|w| {
+            w.u8(4);
+            w.u64(5);
+            w.bool(true);
+        });
+        assert_eq!(round_trip(&(4u8, 5u64, true)), three);
+        assert_eq!(
+            round_trip(&[7u32, 8]),
+            encode(|w| {
+                w.u32(7);
+                w.u32(8);
+            })
+        );
+        assert_eq!(
+            round_trip(&(1u8, 2u8, 3u8, 4u8)),
+            encode(|w| w.u32(0x0403_0201))
+        );
+    }
+
+    #[test]
+    fn shared_cells_encode_the_value_itself() {
+        let v = Rc::new(RefCell::new(vec![1u64]));
+        assert_eq!(round_trip(&v), round_trip(&vec![1u64]));
+    }
+
+    #[test]
+    fn a_huge_length_prefix_fails_without_allocating_for_it() {
+        let bytes = encode(|w| {
+            w.seq(usize::MAX / 2);
+            w.u64(1);
+        });
+        let eof = |e: Result<_, SnapError>| matches!(e, Err(SnapError::UnexpectedEof { .. }));
+        let reader = || SnapReader::new(&bytes).unwrap();
+        assert!(eof(Vec::<u64>::unsnap(&mut reader()).map(drop)));
+        assert!(eof(VecDeque::<[u64; 8]>::unsnap(&mut reader()).map(drop)));
+        assert!(eof(HashMap::<u64, u64>::unsnap(&mut reader()).map(drop)));
+        assert!(eof(BTreeMap::<u64, u64>::unsnap(&mut reader()).map(drop)));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Fields {
+        a: u64,
+        domain: u16,
+        list: Vec<u32>,
+        scratch: Vec<u8>,
+    }
+    snap_fields!(Fields { list, a, domain as u64 } restore_with { scratch: Vec::new() });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapper<T>(T, u8);
+    snap_fields!(impl<T> Wrapper<T> { 0, 1 });
+
+    #[test]
+    fn snap_fields_writes_the_listed_fields_in_order() {
+        let v = Fields {
+            a: 3,
+            domain: 9,
+            list: vec![5],
+            scratch: vec![1, 2],
+        };
+        let bytes = encode(|w| v.snap(w));
+        let want = encode(|w| {
+            w.seq(1);
+            w.u32(5);
+            w.u64(3);
+            w.u64(9);
+        });
+        assert_eq!(bytes, want);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let back = Fields::unsnap(&mut r).unwrap();
+        assert_eq!(
+            back,
+            Fields {
+                scratch: Vec::new(),
+                ..v
+            }
+        );
+        // A widened field refuses a value its in-memory type cannot hold.
+        let wide = encode(|w| {
+            w.seq(0);
+            w.u64(3);
+            w.u64(70_000);
+        });
+        let mut r = SnapReader::new(&wide).unwrap();
+        assert!(matches!(
+            Fields::unsnap(&mut r),
+            Err(SnapError::BadTag {
+                what: "domain",
+                tag: 70_000
+            })
+        ));
+        assert_eq!(
+            round_trip(&Wrapper(7u64, 1)),
+            encode(|w| {
+                w.u64(7);
+                w.u8(1);
+            })
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::{narrow, snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::Nanos;
 
@@ -50,6 +50,37 @@ impl Default for LogHistogram {
             sum: 0,
             max: 0,
         }
+    }
+}
+
+/// Sparse: the nonzero buckets only, as `(index, count)` pairs.
+impl Snap for LogHistogram {
+    fn snap(&self, w: &mut SnapWriter) {
+        (self.count, self.sum, self.max).snap(w);
+        let nonzero: Vec<(u32, u64)> = (0u32..)
+            .zip(&self.counts)
+            .filter(|&(_, &c)| c != 0)
+            .map(|(b, &c)| (b, c))
+            .collect();
+        nonzero.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (count, sum, max) = Snap::unsnap(r)?;
+        let mut h = Self {
+            count,
+            sum,
+            max,
+            ..Self::default()
+        };
+        for (b, c) in Vec::<(u32, u64)>::unsnap(r)? {
+            let slot = h.counts.get_mut(b as usize).ok_or(SnapError::BadTag {
+                what: "histogram bucket index",
+                tag: b as u64,
+            })?;
+            *slot = c;
+        }
+        Ok(h)
     }
 }
 
@@ -126,43 +157,6 @@ impl LogHistogram {
     pub fn p999(&self) -> u64 {
         self.permille(999)
     }
-
-    /// Serializes the histogram sparsely (nonzero buckets only).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.max);
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        w.seq(nonzero);
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                w.u32(b as u32);
-                w.u64(c);
-            }
-        }
-    }
-
-    /// Rebuilds a histogram captured by [`LogHistogram::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let mut h = Self {
-            count: r.u64()?,
-            sum: r.u64()?,
-            max: r.u64()?,
-            ..Self::default()
-        };
-        let n = r.seq()?;
-        for _ in 0..n {
-            let b = r.u32()? as usize;
-            if b >= BUCKETS {
-                return Err(SnapError::BadTag {
-                    what: "histogram bucket index",
-                    tag: b as u64,
-                });
-            }
-            h.counts[b] = r.u64()?;
-        }
-        Ok(h)
-    }
 }
 
 /// What a registry histogram measures.
@@ -196,29 +190,23 @@ impl RegMetric {
             RegMetric::WipeBacklog => "wipe_backlog",
         }
     }
+}
 
-    fn snap_tag(&self) -> u8 {
-        match self {
-            RegMetric::DescLatency => 0,
-            RegMetric::InvWait => 1,
-            RegMetric::RingOccupancy => 2,
-            RegMetric::WipeBacklog => 3,
-        }
+/// A tag byte in [`RegMetric::ALL`] order.
+impl Snap for RegMetric {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u8(*self as u8);
     }
 
-    fn unsnap_tag(tag: u8) -> Result<Self, SnapError> {
-        Ok(match tag {
-            0 => RegMetric::DescLatency,
-            1 => RegMetric::InvWait,
-            2 => RegMetric::RingOccupancy,
-            3 => RegMetric::WipeBacklog,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "registry metric",
-                    tag: t as u64,
-                })
-            }
-        })
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let tag = r.u8()?;
+        Self::ALL
+            .get(tag as usize)
+            .copied()
+            .ok_or(SnapError::BadTag {
+                what: "registry metric",
+                tag: tag as u64,
+            })
     }
 }
 
@@ -240,25 +228,13 @@ pub struct RegSample {
     pub inv_wait_p99: u64,
 }
 
-impl RegSample {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.at);
-        w.u64(self.desc_p50);
-        w.u64(self.desc_p99);
-        w.u64(self.desc_p999);
-        w.u64(self.inv_wait_p99);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            at: r.u64()?,
-            desc_p50: r.u64()?,
-            desc_p99: r.u64()?,
-            desc_p999: r.u64()?,
-            inv_wait_p99: r.u64()?,
-        })
-    }
-}
+snap_fields!(RegSample {
+    at,
+    desc_p50,
+    desc_p99,
+    desc_p999,
+    inv_wait_p99
+});
 
 /// The live registry: keyed histograms plus the streaming sample series.
 #[derive(Debug, Clone, Default)]
@@ -337,38 +313,31 @@ impl MetricsRegistry {
             series: self.series.clone(),
         }
     }
+}
 
-    /// Serializes the registry.
-    pub fn snap(&self, w: &mut SnapWriter) {
+/// Histograms in key order with the domain widened to `u32`, then the
+/// sample series.
+impl Snap for MetricsRegistry {
+    fn snap(&self, w: &mut SnapWriter) {
         w.seq(self.hists.len());
-        for ((metric, domain, flow), h) in &self.hists {
-            w.u8(metric.snap_tag());
-            w.u32(*domain as u32);
-            w.u32(*flow);
+        for (&(metric, domain, flow), h) in &self.hists {
+            (metric, u32::from(domain), flow).snap(w);
             h.snap(w);
         }
-        w.seq(self.series.len());
-        for s in &self.series {
-            s.snap(w);
-        }
+        self.series.snap(w);
     }
 
-    /// Rebuilds a registry captured by [`MetricsRegistry::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.seq()?;
-        let mut hists = BTreeMap::new();
-        for _ in 0..n {
-            let metric = RegMetric::unsnap_tag(r.u8()?)?;
-            let domain = r.u32()? as u16;
-            let flow = r.u32()?;
-            hists.insert((metric, domain, flow), LogHistogram::unsnap(r)?);
-        }
-        let m = r.seq()?;
-        let mut series = Vec::with_capacity(m.min(MAX_REG_SAMPLES));
-        for _ in 0..m {
-            series.push(RegSample::unsnap(r)?);
-        }
-        Ok(Self { hists, series })
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let hists = Vec::<((RegMetric, u32, u32), LogHistogram)>::unsnap(r)?;
+        Ok(Self {
+            hists: hists
+                .into_iter()
+                .map(|((metric, domain, flow), h)| {
+                    Ok(((metric, narrow("registry domain", domain.into())?, flow), h))
+                })
+                .collect::<Result<_, SnapError>>()?,
+            series: Snap::unsnap(r)?,
+        })
     }
 }
 

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::Nanos;
 
@@ -116,22 +116,16 @@ impl PageEventKind {
             PageEventKind::TranslateMiss => "translate-miss",
         }
     }
+}
 
-    fn snap_tag(&self) -> u8 {
-        match self {
-            PageEventKind::Map => 0,
-            PageEventKind::Unmap => 1,
-            PageEventKind::InvSubmit => 2,
-            PageEventKind::InvComplete => 3,
-            PageEventKind::InvSkipped => 4,
-            PageEventKind::Reclaim => 5,
-            PageEventKind::TranslateHit => 6,
-            PageEventKind::TranslateMiss => 7,
-        }
+/// A tag byte in declaration order.
+impl Snap for PageEventKind {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u8(*self as u8);
     }
 
-    fn unsnap_tag(tag: u8) -> Result<Self, SnapError> {
-        Ok(match tag {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
             0 => PageEventKind::Map,
             1 => PageEventKind::Unmap,
             2 => PageEventKind::InvSubmit,
@@ -172,25 +166,15 @@ pub struct PageEvent {
     pub detail: u64,
 }
 
+snap_fields!(PageEvent {
+    at,
+    kind,
+    epoch,
+    flow,
+    detail
+});
+
 impl PageEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.at);
-        w.u8(self.kind.snap_tag());
-        w.u64(self.epoch);
-        w.u32(self.flow);
-        w.u64(self.detail);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            at: r.u64()?,
-            kind: PageEventKind::unsnap_tag(r.u8()?)?,
-            epoch: r.u64()?,
-            flow: r.u32()?,
-            detail: r.u64()?,
-        })
-    }
-
     fn render(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -342,6 +326,8 @@ struct JournalEntry {
     ev: PageEvent,
 }
 
+snap_fields!(JournalEntry { pfn, ev });
+
 /// The live provenance recorder: a bounded chronological journal of page
 /// events, materialized into per-page timelines on demand.
 #[derive(Debug, Clone)]
@@ -361,6 +347,57 @@ pub struct ProvenanceBook {
     /// `InvSkipped` smoking guns, pinned eagerly per page (at most
     /// [`PINNED_CAP`] each) so they survive any amount of journal churn.
     pinned: PinnedTable,
+}
+
+/// The journal verbatim, pinned pages in sorted-pfn order. Restore checks
+/// the ring geometry against the capacity the recorded bounds imply.
+impl Snap for ProvenanceBook {
+    fn snap(&self, w: &mut SnapWriter) {
+        let geometry = (
+            self.per_page,
+            self.max_pages,
+            self.focus,
+            self.window_dropped,
+            self.head,
+        );
+        geometry.snap(w);
+        self.journal.snap(w);
+        self.pinned.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (per_page, max_pages, focus, window_dropped, head): (usize, usize, u64, u64, usize) =
+            Snap::unsnap(r)?;
+        let (per_page, max_pages) = (per_page.max(1), max_pages.max(1));
+        let journal_cap = max_pages
+            .saturating_mul(per_page)
+            .clamp(JOURNAL_MIN, JOURNAL_MAX);
+        let journal = Vec::<JournalEntry>::unsnap(r)?;
+        let n = journal.len();
+        if n > journal_cap || (head != 0 && (n < journal_cap || head >= n)) {
+            return Err(SnapError::BadTag {
+                what: "provenance journal geometry",
+                tag: n as u64,
+            });
+        }
+        let pinned = PinnedTable::unsnap(r)?;
+        if let Some(evs) = pinned.values().find(|evs| evs.len() > PINNED_CAP) {
+            return Err(SnapError::BadTag {
+                what: "provenance pinned-event count",
+                tag: evs.len() as u64,
+            });
+        }
+        Ok(Self {
+            per_page,
+            max_pages,
+            focus,
+            journal_cap,
+            journal,
+            head,
+            window_dropped,
+            pinned,
+        })
+    }
 }
 
 impl ProvenanceBook {
@@ -478,83 +515,6 @@ impl ProvenanceBook {
             dropped_pages,
             window_dropped: self.window_dropped,
         }
-    }
-
-    /// Serializes the book (journal verbatim, pinned pages in sorted-pfn
-    /// order, so the byte stream is deterministic).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.per_page);
-        w.usize(self.max_pages);
-        w.u64(self.focus);
-        w.u64(self.window_dropped);
-        w.usize(self.head);
-        w.seq(self.journal.len());
-        for e in &self.journal {
-            w.u64(e.pfn);
-            e.ev.snap(w);
-        }
-        let mut pfns: Vec<u64> = self.pinned.keys().copied().collect();
-        pfns.sort_unstable();
-        w.seq(pfns.len());
-        for pfn in pfns {
-            let evs = &self.pinned[&pfn];
-            w.u64(pfn);
-            w.seq(evs.len());
-            for ev in evs {
-                ev.snap(w);
-            }
-        }
-    }
-
-    /// Rebuilds a book captured by [`ProvenanceBook::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let per_page = r.usize()?.max(1);
-        let max_pages = r.usize()?.max(1);
-        let focus = r.u64()?;
-        let window_dropped = r.u64()?;
-        let head = r.usize()?;
-        let journal_cap = (max_pages * per_page).clamp(JOURNAL_MIN, JOURNAL_MAX);
-        let n = r.seq()?;
-        if n > journal_cap || (head != 0 && (n < journal_cap || head >= n)) {
-            return Err(SnapError::BadTag {
-                what: "provenance journal geometry",
-                tag: n as u64,
-            });
-        }
-        let mut journal = Vec::with_capacity(n);
-        for _ in 0..n {
-            journal.push(JournalEntry {
-                pfn: r.u64()?,
-                ev: PageEvent::unsnap(r)?,
-            });
-        }
-        let p = r.seq()?;
-        let mut pinned = PinnedTable::default();
-        for _ in 0..p {
-            let pfn = r.u64()?;
-            let m = r.seq()?;
-            if m > PINNED_CAP {
-                return Err(SnapError::BadTag {
-                    what: "provenance pinned-event count",
-                    tag: m as u64,
-                });
-            }
-            let mut evs = Vec::with_capacity(m);
-            for _ in 0..m {
-                evs.push(PageEvent::unsnap(r)?);
-            }
-            pinned.insert(pfn, evs);
-        }
-        Ok(Self {
-            per_page,
-            max_pages,
-            focus,
-            journal_cap,
-            journal,
-            head,
-            window_dropped,
-            pinned,
-        })
     }
 }
 

@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use fns_sim::time::Nanos;
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Default ring capacity when tracing is enabled without an explicit size.
 pub const DEFAULT_TRACE_CAPACITY: u32 = 65_536;
@@ -192,82 +193,56 @@ impl TraceData {
         }
     }
 
-    /// Serializes the payload as a tag byte plus fields (checkpointing).
-    pub fn snap(self, w: &mut fns_snap::SnapWriter) {
+    /// Stable snake_case event name (Chrome `name` field).
+    pub fn name(self) -> &'static str {
         match self {
-            TraceData::Map { pages } => {
-                w.u8(0);
-                w.u32(pages);
-            }
-            TraceData::Unmap { pages } => {
-                w.u8(1);
-                w.u32(pages);
-            }
+            TraceData::Map { .. } => "map",
+            TraceData::Unmap { .. } => "unmap",
+            TraceData::IotlbHit => "iotlb_hit",
+            TraceData::IotlbMiss { .. } => "iotlb_miss",
+            TraceData::TranslationFault => "translation_fault",
+            TraceData::PtcacheFill { .. } => "ptcache_fill",
+            TraceData::PtcacheReclaim { .. } => "ptcache_reclaim",
+            TraceData::InvEnqueue { .. } => "inv_enqueue",
+            TraceData::InvDrain { .. } => "inv_drain",
+            TraceData::InvFlush { .. } => "inv_flush",
+            TraceData::InvBatchFallback { .. } => "inv_batch_fallback",
+            TraceData::RingPost { .. } => "ring_post",
+            TraceData::RingComplete { .. } => "ring_complete",
+            TraceData::RingOverrun { .. } => "ring_overrun",
+            TraceData::FaultInject { .. } => "fault_inject",
+            TraceData::FaultRecover { .. } => "fault_recover",
+            TraceData::AuditViolation { .. } => "audit_violation",
+        }
+    }
+}
+
+/// A tag byte in declaration order, then the payload fields.
+impl Snap for TraceData {
+    fn snap(&self, w: &mut SnapWriter) {
+        match *self {
+            TraceData::Map { pages } => (0u8, pages).snap(w),
+            TraceData::Unmap { pages } => (1u8, pages).snap(w),
             TraceData::IotlbHit => w.u8(2),
-            TraceData::IotlbMiss { reads } => {
-                w.u8(3);
-                w.u32(reads);
-            }
+            TraceData::IotlbMiss { reads } => (3u8, reads).snap(w),
             TraceData::TranslationFault => w.u8(4),
-            TraceData::PtcacheFill { level, evicted } => {
-                w.u8(5);
-                w.u8(level);
-                w.bool(evicted);
-            }
-            TraceData::PtcacheReclaim { entries } => {
-                w.u8(6);
-                w.u32(entries);
-            }
-            TraceData::InvEnqueue { entries, cost_ns } => {
-                w.u8(7);
-                w.u32(entries);
-                w.u64(cost_ns);
-            }
-            TraceData::InvDrain { epochs } => {
-                w.u8(8);
-                w.u32(epochs);
-            }
-            TraceData::InvFlush { cost_ns } => {
-                w.u8(9);
-                w.u64(cost_ns);
-            }
-            TraceData::InvBatchFallback { retries } => {
-                w.u8(10);
-                w.u32(retries);
-            }
-            TraceData::RingPost { core } => {
-                w.u8(11);
-                w.u8(core);
-            }
-            TraceData::RingComplete { core } => {
-                w.u8(12);
-                w.u8(core);
-            }
-            TraceData::RingOverrun { core } => {
-                w.u8(13);
-                w.u8(core);
-            }
-            TraceData::FaultInject { kind, visit } => {
-                w.u8(14);
-                w.u8(kind);
-                w.u64(visit);
-            }
-            TraceData::FaultRecover { kind } => {
-                w.u8(15);
-                w.u8(kind);
-            }
-            TraceData::AuditViolation { invariant, pfn } => {
-                w.u8(16);
-                w.u8(invariant);
-                w.u64(pfn);
-            }
+            TraceData::PtcacheFill { level, evicted } => (5u8, level, evicted).snap(w),
+            TraceData::PtcacheReclaim { entries } => (6u8, entries).snap(w),
+            TraceData::InvEnqueue { entries, cost_ns } => (7u8, entries, cost_ns).snap(w),
+            TraceData::InvDrain { epochs } => (8u8, epochs).snap(w),
+            TraceData::InvFlush { cost_ns } => (9u8, cost_ns).snap(w),
+            TraceData::InvBatchFallback { retries } => (10u8, retries).snap(w),
+            TraceData::RingPost { core } => (11u8, core).snap(w),
+            TraceData::RingComplete { core } => (12u8, core).snap(w),
+            TraceData::RingOverrun { core } => (13u8, core).snap(w),
+            TraceData::FaultInject { kind, visit } => (14u8, kind, visit).snap(w),
+            TraceData::FaultRecover { kind } => (15u8, kind).snap(w),
+            TraceData::AuditViolation { invariant, pfn } => (16u8, invariant, pfn).snap(w),
         }
     }
 
-    /// Rebuilds a payload captured by [`TraceData::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let tag = r.u8()?;
-        Ok(match tag {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
             0 => TraceData::Map { pages: r.u32()? },
             1 => TraceData::Unmap { pages: r.u32()? },
             2 => TraceData::IotlbHit,
@@ -298,35 +273,12 @@ impl TraceData {
                 pfn: r.u64()?,
             },
             t => {
-                return Err(fns_snap::SnapError::BadTag {
+                return Err(SnapError::BadTag {
                     what: "trace event",
                     tag: t as u64,
                 })
             }
         })
-    }
-
-    /// Stable snake_case event name (Chrome `name` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceData::Map { .. } => "map",
-            TraceData::Unmap { .. } => "unmap",
-            TraceData::IotlbHit => "iotlb_hit",
-            TraceData::IotlbMiss { .. } => "iotlb_miss",
-            TraceData::TranslationFault => "translation_fault",
-            TraceData::PtcacheFill { .. } => "ptcache_fill",
-            TraceData::PtcacheReclaim { .. } => "ptcache_reclaim",
-            TraceData::InvEnqueue { .. } => "inv_enqueue",
-            TraceData::InvDrain { .. } => "inv_drain",
-            TraceData::InvFlush { .. } => "inv_flush",
-            TraceData::InvBatchFallback { .. } => "inv_batch_fallback",
-            TraceData::RingPost { .. } => "ring_post",
-            TraceData::RingComplete { .. } => "ring_complete",
-            TraceData::RingOverrun { .. } => "ring_overrun",
-            TraceData::FaultInject { .. } => "fault_inject",
-            TraceData::FaultRecover { .. } => "fault_recover",
-            TraceData::AuditViolation { .. } => "audit_violation",
-        }
     }
 }
 
@@ -338,6 +290,8 @@ pub struct TraceEvent {
     /// The event payload.
     pub data: TraceData,
 }
+
+snap_fields!(TraceEvent { at, data });
 
 /// The drained, chronological result of a traced run. Attached to
 /// `RunMetrics`, so it participates in golden-determinism equality.
@@ -443,33 +397,21 @@ impl Recorder {
             dropped: self.dropped,
         }
     }
+}
 
-    fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.now);
-        w.usize(self.capacity);
-        w.usize(self.head);
-        w.u64(self.dropped);
-        w.seq(self.events.len());
-        for ev in &self.events {
-            w.u64(ev.at);
-            ev.data.snap(w);
-        }
+/// The ring verbatim (slot order, head, drop count), so a restored ring
+/// overwrites and drains exactly as the original would have.
+impl Snap for Recorder {
+    fn snap(&self, w: &mut SnapWriter) {
+        (self.now, self.capacity, self.head, self.dropped).snap(w);
+        self.events.snap(w);
     }
 
-    fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let now = r.u64()?;
-        let capacity = r.usize()?;
-        let head = r.usize()?;
-        let dropped = r.u64()?;
-        let n = r.seq()?;
-        let mut events = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let at = r.u64()?;
-            let data = TraceData::unsnap(r)?;
-            events.push(TraceEvent { at, data });
-        }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (now, capacity, head, dropped): (Nanos, usize, usize, u64) = Snap::unsnap(r)?;
+        let events = Vec::<TraceEvent>::unsnap(r)?;
         if capacity == 0 || head >= capacity || events.len() > capacity {
-            return Err(fns_snap::SnapError::BadTag {
+            return Err(SnapError::BadTag {
                 what: "trace ring geometry",
                 tag: head as u64,
             });
@@ -618,39 +560,32 @@ impl TraceHandle {
             _ => Trace::default(),
         }
     }
+}
 
-    /// Serializes the handle and the full ring state (verbatim: slot order,
-    /// head, drop count) for checkpointing. A restored ring continues to
-    /// overwrite and drain exactly as the original would have.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
+/// A tag byte, then the mask and both rings. A restored handle owns fresh
+/// rings; clone it into every component that held the original.
+impl Snap for TraceHandle {
+    fn snap(&self, w: &mut SnapWriter) {
         match self {
             TraceHandle::Off => w.u8(0),
             TraceHandle::On { mask, rec, flight } => {
                 w.u8(1);
-                w.u8(*mask);
-                rec.borrow().snap(w);
-                w.opt(flight, |w, f| f.borrow().snap(w));
+                mask.snap(w);
+                rec.snap(w);
+                flight.snap(w);
             }
         }
     }
 
-    /// Rebuilds a handle captured by [`TraceHandle::snap`]. The returned
-    /// handle owns a fresh ring; clone it into every component that held
-    /// the original.
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.u8()? {
             0 => Ok(TraceHandle::Off),
-            1 => {
-                let mask = r.u8()?;
-                let rec = Recorder::unsnap(r)?;
-                let flight = r.opt(Recorder::unsnap)?;
-                Ok(TraceHandle::On {
-                    mask,
-                    rec: Rc::new(RefCell::new(rec)),
-                    flight: flight.map(|f| Rc::new(RefCell::new(f))),
-                })
-            }
-            t => Err(fns_snap::SnapError::BadTag {
+            1 => Ok(TraceHandle::On {
+                mask: Snap::unsnap(r)?,
+                rec: Snap::unsnap(r)?,
+                flight: Snap::unsnap(r)?,
+            }),
+            t => Err(SnapError::BadTag {
                 what: "trace handle",
                 tag: t as u64,
             }),

@@ -24,7 +24,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::metrics::{MetricsRegistry, RegMetric, RegistryReport};
 use crate::provenance::{
@@ -117,6 +117,8 @@ pub struct Observer {
     reg: Option<MetricsRegistry>,
 }
 
+snap_fields!(Observer { prov, txns, reg });
+
 impl Observer {
     fn new(cfg: ObserveConfig) -> Self {
         Self {
@@ -126,20 +128,6 @@ impl Observer {
             txns: cfg.txn.then(|| TxnTrace::new(cfg.txn_capacity)),
             reg: cfg.registry.then(MetricsRegistry::default),
         }
-    }
-
-    fn snap(&self, w: &mut SnapWriter) {
-        w.opt(&self.prov, |w, p| p.snap(w));
-        w.opt(&self.txns, |w, t| t.snap(w));
-        w.opt(&self.reg, |w, m| m.snap(w));
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            prov: r.opt(ProvenanceBook::unsnap)?,
-            txns: r.opt(TxnTrace::unsnap)?,
-            reg: r.opt(MetricsRegistry::unsnap)?,
-        })
     }
 }
 
@@ -413,27 +401,25 @@ impl ObsHandle {
             }
         }
     }
+}
 
-    /// Serializes the handle (tag + clock + observer when armed).
-    pub fn snap(&self, w: &mut SnapWriter) {
+/// A tag byte, then the clock and the observer when armed.
+impl Snap for ObsHandle {
+    fn snap(&self, w: &mut SnapWriter) {
         match self {
             ObsHandle::Off => w.u8(0),
             ObsHandle::On { now, obs, .. } => {
                 w.u8(1);
-                w.u64(now.get());
-                obs.borrow().snap(w);
+                now.get().snap(w);
+                obs.snap(w);
             }
         }
     }
 
-    /// Rebuilds a handle captured by [`ObsHandle::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.u8()? {
             0 => Ok(ObsHandle::Off),
-            1 => {
-                let now = r.u64()?;
-                Ok(Self::armed(now, Observer::unsnap(r)?))
-            }
+            1 => Ok(Self::armed(Snap::unsnap(r)?, Snap::unsnap(r)?)),
             t => Err(SnapError::BadTag {
                 what: "observe handle",
                 tag: t as u64,

@@ -17,6 +17,11 @@ pub struct ProbeConfig {
     pub max_samples: u32,
 }
 
+fns_snap::snap_fields!(ProbeConfig {
+    interval_ns,
+    max_samples
+});
+
 impl ProbeConfig {
     /// Probing disabled.
     pub fn off() -> Self {
@@ -79,43 +84,21 @@ pub struct Sample {
     pub iova_largest_free_run: u64,
 }
 
-impl Sample {
-    /// Serializes every gauge field for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.at);
-        w.u32(self.iotlb_occupancy);
-        w.u32(self.iotlb_hit_rate_bp);
-        w.u32(self.ptcache_l1);
-        w.u32(self.ptcache_l2);
-        w.u32(self.ptcache_l3);
-        w.u32(self.inv_queue_depth);
-        w.u32(self.ring_occupancy);
-        w.u64(self.nic_buffer_bytes);
-        w.u64(self.switch_queue_bytes);
-        w.u64(self.iova_live_bytes);
-        w.u64(self.iova_free_spans);
-        w.u64(self.iova_largest_free_run);
-    }
-
-    /// Rebuilds a sample captured by [`Sample::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        Ok(Self {
-            at: r.u64()?,
-            iotlb_occupancy: r.u32()?,
-            iotlb_hit_rate_bp: r.u32()?,
-            ptcache_l1: r.u32()?,
-            ptcache_l2: r.u32()?,
-            ptcache_l3: r.u32()?,
-            inv_queue_depth: r.u32()?,
-            ring_occupancy: r.u32()?,
-            nic_buffer_bytes: r.u64()?,
-            switch_queue_bytes: r.u64()?,
-            iova_live_bytes: r.u64()?,
-            iova_free_spans: r.u64()?,
-            iova_largest_free_run: r.u64()?,
-        })
-    }
-}
+fns_snap::snap_fields!(Sample {
+    at,
+    iotlb_occupancy,
+    iotlb_hit_rate_bp,
+    ptcache_l1,
+    ptcache_l2,
+    ptcache_l3,
+    inv_queue_depth,
+    ring_occupancy,
+    nic_buffer_bytes,
+    switch_queue_bytes,
+    iova_live_bytes,
+    iova_free_spans,
+    iova_largest_free_run,
+});
 
 /// The collected series, attached to `RunMetrics`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -125,6 +108,11 @@ pub struct SampleSet {
     /// Snapshots in chronological order.
     pub samples: Vec<Sample>,
 }
+
+fns_snap::snap_fields!(SampleSet {
+    interval_ns,
+    samples
+});
 
 impl SampleSet {
     /// Number of samples.
@@ -146,6 +134,14 @@ pub struct Sampler {
     prev_hits: u64,
     set: SampleSet,
 }
+
+// Config, rolling-rate state and the collected series.
+fns_snap::snap_fields!(Sampler {
+    cfg,
+    prev_translations,
+    prev_hits,
+    set
+});
 
 impl Sampler {
     /// A sampler for `cfg`; inert when probing is disabled.
@@ -195,45 +191,6 @@ impl Sampler {
     /// Consumes the sampler, yielding the collected series.
     pub fn take(self) -> SampleSet {
         self.set
-    }
-
-    /// Serializes the sampler (config, rolling-rate state, collected
-    /// series) for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.u64(self.cfg.interval_ns);
-        w.u32(self.cfg.max_samples);
-        w.u64(self.prev_translations);
-        w.u64(self.prev_hits);
-        w.u64(self.set.interval_ns);
-        w.seq(self.set.samples.len());
-        for s in &self.set.samples {
-            s.snap(w);
-        }
-    }
-
-    /// Rebuilds a sampler captured by [`Sampler::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let cfg = ProbeConfig {
-            interval_ns: r.u64()?,
-            max_samples: r.u32()?,
-        };
-        let prev_translations = r.u64()?;
-        let prev_hits = r.u64()?;
-        let interval_ns = r.u64()?;
-        let n = r.seq()?;
-        let mut samples = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            samples.push(Sample::unsnap(r)?);
-        }
-        Ok(Self {
-            cfg,
-            prev_translations,
-            prev_hits,
-            set: SampleSet {
-                interval_ns,
-                samples,
-            },
-        })
     }
 }
 

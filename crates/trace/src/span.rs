@@ -70,6 +70,8 @@ pub struct SpanSet {
     ns: [u64; Span::COUNT],
 }
 
+fns_snap::snap_fields!(SpanSet { ns });
+
 impl SpanSet {
     /// An all-zero span set.
     pub fn new() -> Self {
@@ -108,22 +110,6 @@ impl SpanSet {
         for i in 0..Span::COUNT {
             self.ns[i] += other.ns[i];
         }
-    }
-
-    /// Serializes all buckets in index order for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        for &ns in &self.ns {
-            w.u64(ns);
-        }
-    }
-
-    /// Rebuilds a span set captured by [`SpanSet::snap`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        let mut ns = [0u64; Span::COUNT];
-        for slot in &mut ns {
-            *slot = r.u64()?;
-        }
-        Ok(Self { ns })
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use fns_snap::{SnapError, SnapReader, SnapWriter};
+use fns_snap::{snap_fields, Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::Nanos;
 
@@ -43,29 +43,15 @@ pub struct TxnRecord {
     pub end_ns: Nanos,
 }
 
-impl TxnRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.id);
-        w.u32(self.flow);
-        w.u32(self.pages);
-        w.u64(self.start_ns);
-        w.u64(self.map_ns);
-        w.u64(self.inv_wait_ns);
-        w.u64(self.end_ns);
-    }
-
-    fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            id: r.u64()?,
-            flow: r.u32()?,
-            pages: r.u32()?,
-            start_ns: r.u64()?,
-            map_ns: r.u64()?,
-            inv_wait_ns: r.u64()?,
-            end_ns: r.u64()?,
-        })
-    }
-}
+snap_fields!(TxnRecord {
+    id,
+    flow,
+    pages,
+    start_ns,
+    map_ns,
+    inv_wait_ns,
+    end_ns
+});
 
 /// The live transaction recorder: open spans keyed by descriptor ID plus
 /// a bounded ring of completed records.
@@ -80,6 +66,43 @@ pub struct TxnTrace {
     /// ring occupancy: a descriptor is completed before its slot is
     /// reposted.
     open: BTreeMap<u64, TxnRecord>,
+}
+
+/// The ring verbatim, then the open spans in id order. Restore checks the
+/// ring geometry: the capacity is bounded by [`TxnTrace::new`]'s `u32`.
+impl Snap for TxnTrace {
+    fn snap(&self, w: &mut SnapWriter) {
+        (self.capacity, self.head, self.dropped).snap(w);
+        self.done.snap(w);
+        let open: Vec<TxnRecord> = self.open.values().copied().collect();
+        open.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (capacity, head, dropped): (usize, usize, u64) = Snap::unsnap(r)?;
+        if capacity == 0 || capacity > u32::MAX as usize {
+            return Err(SnapError::BadCapacity {
+                what: "txn ring",
+                capacity: capacity as u64,
+            });
+        }
+        let done = Vec::<TxnRecord>::unsnap(r)?;
+        let n = done.len();
+        if n > capacity || (head >= n && head != 0) {
+            return Err(SnapError::BadTag {
+                what: "txn ring geometry",
+                tag: n as u64,
+            });
+        }
+        let open = Vec::<TxnRecord>::unsnap(r)?;
+        Ok(Self {
+            capacity,
+            done,
+            head,
+            dropped,
+            open: open.into_iter().map(|rec| (rec.id, rec)).collect(),
+        })
+    }
 }
 
 impl TxnTrace {
@@ -153,52 +176,6 @@ impl TxnTrace {
             open: self.open.len() as u64,
             dropped: self.dropped,
         }
-    }
-
-    /// Serializes the recorder (ring + open table, deterministic order).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.capacity);
-        w.usize(self.head);
-        w.u64(self.dropped);
-        w.seq(self.done.len());
-        for rec in &self.done {
-            rec.snap(w);
-        }
-        w.seq(self.open.len());
-        for rec in self.open.values() {
-            rec.snap(w);
-        }
-    }
-
-    /// Rebuilds a recorder captured by [`TxnTrace::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let capacity = r.usize()?;
-        let head = r.usize()?;
-        let dropped = r.u64()?;
-        let n = r.seq()?;
-        if capacity == 0 || n > capacity || (head >= n && head != 0) {
-            return Err(SnapError::BadTag {
-                what: "txn ring geometry",
-                tag: n as u64,
-            });
-        }
-        let mut done = Vec::with_capacity(n);
-        for _ in 0..n {
-            done.push(TxnRecord::unsnap(r)?);
-        }
-        let m = r.seq()?;
-        let mut open = BTreeMap::new();
-        for _ in 0..m {
-            let rec = TxnRecord::unsnap(r)?;
-            open.insert(rec.id, rec);
-        }
-        Ok(Self {
-            capacity,
-            done,
-            head,
-            dropped,
-            open,
-        })
     }
 }
 
